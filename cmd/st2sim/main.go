@@ -205,15 +205,18 @@ func main() {
 	}
 	if *benchOut != "" {
 		smoke.TotalSeconds = time.Since(tSuite).Seconds()
+		if smoke.SimulateSeconds > 0 {
+			smoke.SimulateThreadInstrsPerSec = float64(smoke.TotalThreadInstrs) / smoke.SimulateSeconds
+		}
 		if mispredOps > 0 {
 			smoke.MispredRate = float64(mispredMis) / float64(mispredOps)
 		}
 		if err := obs.AppendTrend(*benchOut, smoke); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "st2sim: bench: %d kernels in %.2fs (simulate %.2fs, %d thread instrs, mispred %.2f%%) → %s\n",
+		fmt.Fprintf(os.Stderr, "st2sim: bench: %d kernels in %.2fs (simulate %.2fs, %d thread instrs, %.1fM thread instrs/s, mispred %.2f%%) → %s\n",
 			smoke.Kernels, smoke.TotalSeconds, smoke.SimulateSeconds,
-			smoke.TotalThreadInstrs, 100*smoke.MispredRate, *benchOut)
+			smoke.TotalThreadInstrs, smoke.SimulateThreadInstrsPerSec/1e6, 100*smoke.MispredRate, *benchOut)
 	}
 }
 
@@ -230,6 +233,9 @@ type smokeResult struct {
 	TotalCycles       uint64  `json:"total_cycles"`
 	MispredRate       float64 `json:"mispred_rate"`
 	HostParallel      int     `json:"host_parallelism"`
+	// SimulateThreadInstrsPerSec is simulator throughput:
+	// TotalThreadInstrs / SimulateSeconds.
+	SimulateThreadInstrsPerSec float64 `json:"simulate_thread_instrs_per_sec"`
 }
 
 func printRow(tw *tabwriter.Writer, report, name string, rs *gpusim.RunStats) {

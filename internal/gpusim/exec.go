@@ -23,6 +23,7 @@ type warp struct {
 	nLanes   int    // threads actually populated (last warp may be partial)
 
 	pc     [32]int32 // per-thread next instruction; -1 = exited
+	minpc  int32     // cached min over live pc lanes; see refreshMinPC
 	regs   []uint64  // flat: reg*32 + lane
 	preds  []bool    // flat: pred*32 + lane
 	shared []byte    // block shared memory (shared with sibling warps)
@@ -40,8 +41,14 @@ func (w *warp) pred(p isa.PReg, lane int) bool       { return w.preds[int(p)*32+
 func (w *warp) setPred(p isa.PReg, lane int, v bool) { w.preds[int(p)*32+lane] = v }
 
 // minPC returns the smallest live PC (SIMT min-PC reconvergence) or -1
-// when every thread has exited.
-func (w *warp) minPC() int32 {
+// when every thread has exited. It reads the cache that refreshMinPC
+// keeps; the scheduler asks several times per warp per cycle, while lane
+// PCs change at most once per issued instruction.
+func (w *warp) minPC() int32 { return w.minpc }
+
+// refreshMinPC rescans the lane PCs into the minPC cache. Every write to
+// w.pc must be followed by a call before minPC is read again.
+func (w *warp) refreshMinPC() {
 	min := int32(-1)
 	for l := 0; l < w.nLanes; l++ {
 		if w.pc[l] < 0 {
@@ -51,7 +58,7 @@ func (w *warp) minPC() int32 {
 			min = w.pc[l]
 		}
 	}
-	return min
+	w.minpc = min
 }
 
 // stepResult is what one warp instruction's functional execution reports
@@ -122,7 +129,7 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 		return stepResult{exited: true}, nil
 	}
 	prog := sm.kernel.Program
-	in := prog.Instrs[pc]
+	in := &prog.Instrs[pc]
 	res := stepResult{class: in.Op.Class(), dstReg: in.Dst, hasDst: in.Op.HasDst()}
 
 	// The execution set: threads at this PC whose guard passes. Threads at
@@ -150,6 +157,7 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 				w.pc[l] = pc + 1
 			}
 		}
+		w.refreshMinPC()
 	}
 
 	lat, occ := sm.dev.latency(in.Op)
@@ -167,9 +175,8 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 				w.pc[l] = pc + 1
 			}
 		}
-		if w.minPC() < 0 {
-			res.exited = true
-		}
+		w.refreshMinPC()
+		res.exited = w.minPC() < 0
 
 	case isa.OpBar:
 		advance()
@@ -186,6 +193,7 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 				w.pc[l] = pc + 1
 			}
 		}
+		w.refreshMinPC()
 
 	case isa.OpIAdd, isa.OpISub:
 		if err := sm.execIntAddSub(w, uint32(pc), in, execMask, &res); err != nil {
@@ -236,7 +244,7 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 
 // execIntAddSub routes an integer add/sub through the ST² ALU (or the
 // baseline adder in baseline mode).
-func (sm *smState) execIntAddSub(w *warp, pc uint32, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
 	op := adder.Add
 	if in.Op == isa.OpISub {
 		op = adder.Sub
@@ -317,7 +325,7 @@ func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]
 // execFloatAddSub: the architectural result is native IEEE; in ST² mode
 // the aligned mantissa operation additionally flows through the FPU/DPU
 // sliced adder for timing/energy/misprediction accounting.
-func (sm *smState) execFloatAddSub(w *warp, pc uint32, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
 	is64 := in.Type == isa.F64
 	unit := sm.fpu
 	if is64 {
@@ -415,7 +423,7 @@ func compare(cmp isa.CmpOp, ty isa.Type, a, b uint64) bool {
 }
 
 // evalScalar executes the non-memory, non-add scalar opcodes for one lane.
-func evalScalar(sm *smState, w *warp, in isa.Instr, l int) (uint64, error) {
+func evalScalar(sm *smState, w *warp, in *isa.Instr, l int) (uint64, error) {
 	a := sm.operand(w, in.Srcs[0], l)
 	var b, c uint64
 	if in.Op.NumSrcs() >= 2 {

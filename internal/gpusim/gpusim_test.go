@@ -508,6 +508,9 @@ func TestMemoryHelpers(t *testing.T) {
 	if u[0] != 42 {
 		t.Error("u64 round trip")
 	}
+	if z, err := m.ReadU32s(4000, 24); err != nil || z[0] != 0 || z[23] != 0 {
+		t.Errorf("never-written words read %v, %v; want zeros", z, err)
+	}
 	if _, err := m.Load(4090, 8); err == nil {
 		t.Error("straddling load should fail")
 	}

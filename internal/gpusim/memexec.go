@@ -9,7 +9,7 @@ import (
 
 // execMemory executes LD/ST/ATOM for the active lanes, modeling
 // coalescing into cache-line transactions for the global space.
-func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *stepResult) error {
 	size := in.Type.Size()
 	cfg := sm.dev.cfg
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Memory stripe geometry: addresses are striped across a small mutex
@@ -15,22 +16,40 @@ const (
 	memStripeCount = 64 // power of two
 )
 
-// Memory is the device's flat global memory. Kernels address it with byte
+// Memory page geometry: global memory is backed by 64 KiB pages that are
+// allocated on first write, so a device costs nothing until a kernel or
+// host touches an address, and then only the pages it touched.
+const (
+	memPageShift = 16
+	memPageSize  = 1 << memPageShift
+	memPageMask  = memPageSize - 1
+)
+
+type memPage = [memPageSize]byte
+
+// Memory is the device's global memory: a flat byte address space backed
+// by pages allocated on first write. Kernels address it with byte
 // addresses; hosts stage inputs and read back outputs through the typed
-// helpers. All multi-byte values are little-endian.
+// helpers. All multi-byte values are little-endian, and a page nobody has
+// written reads as zeros.
 //
 // The kernel-visible accessors (Load, Store, AtomicAdd) are safe for
 // concurrent use by the parallel per-SM launch path via lock striping by
-// address range. The host staging helpers (WriteU32s, ReadF64s, ...) are
-// not synchronized: call them only while no kernel is running.
+// address range. A page is published with an atomic compare-and-swap, so
+// two SMs whose first writes to a page fall under different stripes
+// agree on one page and neither write is lost. The host staging helpers
+// (WriteU32s, ReadF64s, ...) are not synchronized: call them only while
+// no kernel is running.
 type Memory struct {
-	data    []byte
+	size    uint64
+	pages   []atomic.Pointer[memPage]
 	stripes [memStripeCount]sync.Mutex
 }
 
-// NewMemory allocates size bytes of zeroed device memory.
+// NewMemory creates size bytes of zeroed device memory. No page is
+// allocated until it is first written.
 func NewMemory(size uint64) *Memory {
-	return &Memory{data: make([]byte, size)}
+	return &Memory{size: size, pages: make([]atomic.Pointer[memPage], (size+memPageMask)>>memPageShift)}
 }
 
 // lockSpan acquires the stripe lock(s) covering [addr, addr+n). An access
@@ -61,14 +80,79 @@ func unlockSpan(a, b *sync.Mutex) {
 }
 
 // Size returns the capacity in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 func (m *Memory) check(addr, n uint64) error {
-	if addr+n > uint64(len(m.data)) || addr+n < addr {
+	if addr+n > m.size || addr+n < addr {
 		return fmt.Errorf("gpusim: memory access [%#x,%#x) outside %#x-byte device memory",
-			addr, addr+n, len(m.data))
+			addr, addr+n, m.size)
 	}
 	return nil
+}
+
+// touch returns page i, allocating it on first use. Racing first touches
+// each allocate, but only one compare-and-swap wins and every caller
+// returns the winner's page; nothing is written to a page before it is
+// published.
+func (m *Memory) touch(i uint64) *memPage {
+	if p := m.pages[i].Load(); p != nil {
+		return p
+	}
+	if p := new(memPage); m.pages[i].CompareAndSwap(nil, p) {
+		return p
+	}
+	return m.pages[i].Load()
+}
+
+// copyOut fills b from [addr, addr+len(b)), reading untouched pages as
+// zeros without allocating them. The range must be in bounds.
+func (m *Memory) copyOut(addr uint64, b []byte) {
+	for len(b) > 0 {
+		off := addr & memPageMask
+		n := min(uint64(len(b)), memPageSize-off)
+		if p := m.pages[addr>>memPageShift].Load(); p != nil {
+			copy(b[:n], p[off:])
+		} else {
+			clear(b[:n])
+		}
+		b, addr = b[n:], addr+n
+	}
+}
+
+// copyIn writes b to [addr, addr+len(b)), allocating pages as needed.
+// The range must be in bounds.
+func (m *Memory) copyIn(addr uint64, b []byte) {
+	for len(b) > 0 {
+		n := copy(m.touch(addr >> memPageShift)[addr&memPageMask:], b)
+		b, addr = b[n:], addr+uint64(n)
+	}
+}
+
+// load reads an n-byte word; the caller holds its stripes.
+func (m *Memory) load(addr, n uint64) uint64 {
+	off := addr & memPageMask
+	if off+n > memPageSize {
+		var buf [8]byte
+		m.copyOut(addr, buf[:n])
+		return loadLE(buf[:], n)
+	}
+	p := m.pages[addr>>memPageShift].Load()
+	if p == nil {
+		return 0
+	}
+	return loadLE(p[off:], n)
+}
+
+// store writes an n-byte word; the caller holds its stripes.
+func (m *Memory) store(addr, n, val uint64) {
+	off := addr & memPageMask
+	if off+n > memPageSize {
+		var buf [8]byte
+		storeLE(buf[:], n, val)
+		m.copyIn(addr, buf[:n])
+		return
+	}
+	storeLE(m.touch(addr >> memPageShift)[off:], n, val)
 }
 
 // Load reads n (4 or 8) bytes at addr.
@@ -80,12 +164,7 @@ func (m *Memory) Load(addr, n uint64) (uint64, error) {
 		return 0, err
 	}
 	a, b := m.lockSpan(addr, n)
-	var v uint64
-	if n == 4 {
-		v = uint64(binary.LittleEndian.Uint32(m.data[addr:]))
-	} else {
-		v = binary.LittleEndian.Uint64(m.data[addr:])
-	}
+	v := m.load(addr, n)
 	unlockSpan(a, b)
 	return v, nil
 }
@@ -99,11 +178,7 @@ func (m *Memory) Store(addr, n, val uint64) error {
 		return err
 	}
 	a, b := m.lockSpan(addr, n)
-	if n == 4 {
-		binary.LittleEndian.PutUint32(m.data[addr:], uint32(val))
-	} else {
-		binary.LittleEndian.PutUint64(m.data[addr:], val)
-	}
+	m.store(addr, n, val)
 	unlockSpan(a, b)
 	return nil
 }
@@ -121,14 +196,8 @@ func (m *Memory) AtomicAdd(addr, n, delta uint64) (uint64, error) {
 		return 0, err
 	}
 	a, b := m.lockSpan(addr, n)
-	var old uint64
-	if n == 4 {
-		old = uint64(binary.LittleEndian.Uint32(m.data[addr:]))
-		binary.LittleEndian.PutUint32(m.data[addr:], uint32(old+delta))
-	} else {
-		old = binary.LittleEndian.Uint64(m.data[addr:])
-		binary.LittleEndian.PutUint64(m.data[addr:], old+delta)
-	}
+	old := m.load(addr, n)
+	m.store(addr, n, old+delta)
 	unlockSpan(a, b)
 	return old, nil
 }
@@ -140,9 +209,11 @@ func (m *Memory) WriteU32s(addr uint64, vals []uint32) error {
 	if err := m.check(addr, uint64(len(vals))*4); err != nil {
 		return err
 	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(m.data[addr+uint64(i)*4:], v)
+	buf := make([]byte, 0, 4*len(vals))
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
 	}
+	m.copyIn(addr, buf)
 	return nil
 }
 
@@ -151,9 +222,11 @@ func (m *Memory) ReadU32s(addr uint64, n int) ([]uint32, error) {
 	if err := m.check(addr, uint64(n)*4); err != nil {
 		return nil, err
 	}
+	buf := make([]byte, 4*n)
+	m.copyOut(addr, buf)
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(m.data[addr+uint64(i)*4:])
+		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
 	}
 	return out, nil
 }
@@ -182,23 +255,22 @@ func (m *Memory) ReadF32s(addr uint64, n int) ([]float32, error) {
 
 // WriteF64s stages a []float64 at addr.
 func (m *Memory) WriteF64s(addr uint64, vals []float64) error {
-	if err := m.check(addr, uint64(len(vals))*8); err != nil {
-		return err
-	}
+	u := make([]uint64, len(vals))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(m.data[addr+uint64(i)*8:], f64bits(v))
+		u[i] = f64bits(v)
 	}
-	return nil
+	return m.WriteU64s(addr, u)
 }
 
 // ReadF64s reads n float64 values from addr.
 func (m *Memory) ReadF64s(addr uint64, n int) ([]float64, error) {
-	if err := m.check(addr, uint64(n)*8); err != nil {
+	u, err := m.ReadU64s(addr, n)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = f64fromBits(binary.LittleEndian.Uint64(m.data[addr+uint64(i)*8:]))
+		out[i] = f64fromBits(u[i])
 	}
 	return out, nil
 }
@@ -208,9 +280,11 @@ func (m *Memory) WriteU64s(addr uint64, vals []uint64) error {
 	if err := m.check(addr, uint64(len(vals))*8); err != nil {
 		return err
 	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(m.data[addr+uint64(i)*8:], v)
+	buf := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
+	m.copyIn(addr, buf)
 	return nil
 }
 
@@ -219,9 +293,11 @@ func (m *Memory) ReadU64s(addr uint64, n int) ([]uint64, error) {
 	if err := m.check(addr, uint64(n)*8); err != nil {
 		return nil, err
 	}
+	buf := make([]byte, 8*n)
+	m.copyOut(addr, buf)
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(m.data[addr+uint64(i)*8:])
+		out[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
 	return out, nil
 }

@@ -371,9 +371,14 @@ func TestMemoryAtomicAdd(t *testing.T) {
 	if v != 8 {
 		t.Errorf("final value %d, want 8", v)
 	}
-	// Straddles the 128-byte stripe boundary at 0x80.
-	if _, err := m.AtomicAdd(0x80-4, 8, 1); err != nil {
-		t.Fatal(err)
+	// Straddles the 128-byte stripe boundary at 0x80, then a page boundary.
+	for _, a := range []uint64{0x80 - 4, memPageSize - 4} {
+		if _, err := m.AtomicAdd(a, 8, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := m.Load(a, 8); v != 1 {
+			t.Errorf("straddling AtomicAdd at %#x left %d, want 1", a, v)
+		}
 	}
 	if _, err := m.AtomicAdd(1<<20-2, 4, 1); err == nil {
 		t.Error("out-of-bounds AtomicAdd should fail")

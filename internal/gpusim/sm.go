@@ -163,6 +163,7 @@ func (sm *smState) launchBlock(b int) {
 		for l := lanes; l < 32; l++ {
 			w.pc[l] = -1
 		}
+		w.refreshMinPC()
 		sm.warps = append(sm.warps, w)
 	}
 	sm.liveBlocks[b] = nWarps
@@ -222,7 +223,7 @@ func (sm *smState) srcReadyAt(w *warp) uint64 {
 	if pc < 0 {
 		return w.nextIssue
 	}
-	in := sm.kernel.Program.Instrs[pc]
+	in := &sm.kernel.Program.Instrs[pc]
 	t := w.nextIssue
 	for s := 0; s < in.Op.NumSrcs(); s++ {
 		o := in.Srcs[s]
@@ -273,7 +274,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 		w.done = true
 		return false, nil
 	}
-	in := sm.kernel.Program.Instrs[pc]
+	in := &sm.kernel.Program.Instrs[pc]
 	pool := poolFor(in.Op.Class())
 	pipe := -1
 	if pool != poolNone {

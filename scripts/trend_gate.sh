@@ -13,8 +13,9 @@
 #                    sharded_eval_ops_per_sec       ≥ 0.25 × best prior
 #                    store_partial_load_ops_per_sec ≥ 0.25 × best prior
 #                    identical                      == true (bit-identity verdict)
-#   BENCH_smoke.json total_seconds            ≤ 5 × best prior
-#                    kernels                  ≥ best prior (suite never shrinks)
+#   BENCH_smoke.json total_seconds                  ≤ 5 × best prior
+#                    kernels                        ≥ best prior (suite never shrinks)
+#                    simulate_thread_instrs_per_sec ≥ 0.25 × best prior
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,6 +36,7 @@ go run ./cmd/st2trend -q \
     -gate identical:true \
     -gate total_seconds:lower:5.0 \
     -gate kernels:higher:1.0 \
+    -gate simulate_thread_instrs_per_sec:higher:0.25 \
     BENCH_dse.json BENCH_smoke.json
 
 echo "trend-gate: OK"
