@@ -31,14 +31,16 @@ lint-clean:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the binary readers (one -fuzz pattern per `go
-# test` invocation): the recording decoder and the columnar decoded-store
-# reader. Seed corpora (valid, truncated, and oversized-declaration
-# inputs) plus a few seconds of mutation must never panic, over-allocate,
-# or round-trip unstably.
+# Short fuzz pass (one -fuzz pattern per `go test` invocation) over the
+# binary readers — the recording decoder and the columnar decoded-store
+# reader — and over the word-parallel ST² adder. Reader seed corpora
+# (valid, truncated, and oversized-declaration inputs) plus a few seconds
+# of mutation must never panic, over-allocate, or round-trip unstably;
+# the adder must return exactly the slice-loop oracle's Result.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadRecording -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderAgainstSliceLoop -fuzztime=5s ./internal/adder
 
 # The gate CI runs: static analysis (vet + st2lint), the full test suite
 # under the race detector, a short decoder fuzz pass, a suite smoke pass

@@ -13,6 +13,7 @@ package adder
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"st2gpu/internal/bitmath"
@@ -98,6 +99,15 @@ type Result struct {
 // (operands, predictions) into (result, timing, activity).
 type SlicedAdder struct {
 	cfg Config
+	nb  uint // speculated boundaries, NumSlices-1
+
+	// Word masks of the slice geometry, fixed by New. Only slices
+	// 0..n-2 feed a speculated boundary, and those are all full width.
+	wm   uint64 // Mask(Width)
+	bm   uint64 // Mask(nb): one bit per speculated boundary
+	msb  uint64 // bit (i+1)·SliceBits−1, the MSB of slice i, for i < nb
+	lsb  uint64 // bit i·SliceBits, the LSB of slice i, for i < nb
+	body uint64 // the bits of slices 0..nb-1 below their MSBs
 }
 
 // New returns a sliced adder for the given configuration.
@@ -105,7 +115,14 @@ func New(cfg Config) (*SlicedAdder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SlicedAdder{cfg: cfg}, nil
+	s := &SlicedAdder{cfg: cfg, nb: cfg.NumBoundaries(), wm: bitmath.Mask(cfg.Width)}
+	s.bm = bitmath.Mask(s.nb)
+	for i := uint(0); i < s.nb; i++ {
+		s.msb |= 1 << ((i+1)*cfg.SliceBits - 1)
+		s.lsb |= 1 << (i * cfg.SliceBits)
+	}
+	s.body = bitmath.Mask(s.nb*cfg.SliceBits) &^ s.msb
+	return s, nil
 }
 
 // Config returns the adder's configuration.
@@ -116,11 +133,15 @@ func (s *SlicedAdder) Config() Config { return s.cfg }
 // Predictors peek at these effective operands, exactly as the hardware
 // sees them on the slice input registers.
 func (s *SlicedAdder) EffectiveOperands(a, b uint64, op Op) (ea, eb uint64, cin0 uint) {
-	m := bitmath.Mask(s.cfg.Width)
+	return effectiveOperands(s.cfg.Width, a, b, op)
+}
+
+func effectiveOperands(width uint, a, b uint64, op Op) (ea, eb uint64, cin0 uint) {
+	m := bitmath.Mask(width)
 	ea = a & m
 	switch op {
 	case Sub:
-		return ea, bitmath.OnesComplement(b, s.cfg.Width), 1
+		return ea, bitmath.OnesComplement(b, width), 1
 	default:
 		return ea, b & m, 0
 	}
@@ -138,121 +159,74 @@ func (s *SlicedAdder) EffectiveOperands(a, b uint64, op Op) (ea, eb uint64, cin0
 // possibilities are available everywhere and the exact result is selected.
 func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
-	return s.executeEffective(ea, eb, cin0, predicted)
+	return s.ExecuteEffective(ea, eb, cin0, predicted)
 }
 
-func (s *SlicedAdder) executeEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
-	cfg := s.cfg
-	n := cfg.NumSlices()
-	res := Result{Predicted: predicted & bitmath.Mask(cfg.NumBoundaries())}
+// ExecuteEffective is Execute on operands EffectiveOperands has already
+// transformed, for callers that computed them anyway (predictors peek at
+// the same values). Operand bits above Width are ignored.
+//
+// The slice datapath is evaluated as word identities over the packed
+// boundary vectors rather than slice by slice:
+//
+//   - the final sum and carry-out are the exact addition;
+//   - slice i < n-1 generates a carry-out (G) or propagates its carry-in
+//     (P, every bit of ea^eb set) — both read off one SWAR add with the
+//     slice MSBs cleared, gathered at bits (i+1)·SliceBits−1;
+//   - its cycle-1 carry-out is G | P·(its carry-in), so
+//     E = (predicted ^ cout1) masked to the boundaries;
+//   - S sets every boundary from E's lowest set bit upward;
+//   - the true boundary carries are the carry vector ea^eb^sum gathered
+//     at bits i·SliceBits (the slice MSBs of the vector shifted down one).
+func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
+	k := s.cfg.SliceBits
+	ea &= s.wm
+	eb &= s.wm
+	cin := uint64(cin0 & 1)
+	sum, c64 := bits.Add64(ea, eb, cin)
 
-	// --- Cycle 1: all slices in parallel with speculated carry-ins. ---
-	// usedCin[i] is the carry-in slice i computed with; cout1[i] its
-	// cycle-1 carry-out. Fixed-size arrays keep the hot path free of heap
-	// allocations (the simulator calls Execute tens of millions of times).
-	var usedCin, cout1 [bitmath.MaxWidth]uint
-	var sums1 [bitmath.MaxWidth]uint64
-	for i := uint(0); i < n; i++ {
-		lo := i * cfg.SliceBits
-		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
-		sa := bitmath.Slice(ea, lo, w)
-		sb := bitmath.Slice(eb, lo, w)
-		cin := cin0
-		if i > 0 {
-			cin = uint((predicted >> (i - 1)) & 1)
-		}
-		usedCin[i] = cin
-		sums1[i], cout1[i] = bitmath.AddWithCarry(sa, sb, cin, w)
-	}
+	// Slices 0..n-2 in isolation: t's bit at a slice MSB is the carry into
+	// that MSB from the slice's own lower bits (no carry crosses a slice,
+	// since the MSBs are cleared).
+	x := ea ^ eb
+	t := (ea & s.body) + (eb & s.body)
+	g := bitmath.GatherSliceMSBs(ea&eb|x&t, k, s.nb)
+	p := bitmath.GatherSliceMSBs(x&((x&s.body)+s.lsb), k, s.nb)
+	cout1 := g | p&((predicted<<1|cin)&s.bm)
+	e := (predicted ^ cout1) & s.bm
+	susp := s.bm &^ (e&-e - 1)
 
-	// --- End of cycle 1: misprediction detection (E signals). ---
-	var e, sMask uint64
-	for i := uint(1); i < n; i++ {
-		if usedCin[i] != cout1[i-1] {
-			e |= 1 << (i - 1)
-		}
+	return Result{
+		Sum:           sum & s.wm,
+		CarryOut:      uint(c64 | sum>>s.cfg.Width&1),
+		Cycles:        1 + uint(bitmath.NonZeroBit(e)),
+		Mispredicted:  e != 0,
+		ErrorSlices:   e,
+		SuspectSlices: susp,
+		Recomputed:    bits.OnesCount64(susp),
+		ActualCarries: bitmath.GatherSliceMSBs((x^sum)>>1, k, s.nb),
+		Predicted:     predicted & s.bm,
 	}
-	// S[i] = OR of E[1..i]: once any lower slice erred, everything above
-	// is suspect.
-	var seen bool
-	for i := uint(1); i < n; i++ {
-		if e&(1<<(i-1)) != 0 {
-			seen = true
-		}
-		if seen {
-			sMask |= 1 << (i - 1)
-		}
-	}
-	res.ErrorSlices = e
-	res.SuspectSlices = sMask
-	res.Recomputed = bitmath.PopCount64(sMask)
-	res.Mispredicted = e != 0
-
-	// --- Cycle 2 (only if needed): suspect slices recompute with the
-	// inverse carry-in; then exact carries are resolved left to right and
-	// each slice selects the computation matching its true carry-in. ---
-	res.Cycles = 1
-	if res.Mispredicted {
-		res.Cycles = 2
-	}
-
-	var sum uint64
-	carry := cin0
-	for i := uint(0); i < n; i++ {
-		lo := i * cfg.SliceBits
-		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
-		var sliceSum uint64
-		var sliceCout uint
-		if carry == usedCin[i] {
-			// Cycle-1 computation used the true carry-in: keep it. For
-			// non-suspect slices this is the only computation available,
-			// and the invariant usedCin == true carry always holds there.
-			sliceSum, sliceCout = sums1[i], cout1[i]
-		} else {
-			// The slice is suspect and its cycle-2 computation (inverse
-			// carry) is the correct one.
-			sa := bitmath.Slice(ea, lo, w)
-			sb := bitmath.Slice(eb, lo, w)
-			sliceSum, sliceCout = bitmath.AddWithCarry(sa, sb, carry, w)
-		}
-		sum |= sliceSum << lo
-		carry = sliceCout
-
-		// Record the true boundary carry for the history update.
-		if i < n-1 {
-			res.ActualCarries |= uint64(carry) << i
-		}
-	}
-	res.Sum = sum & bitmath.Mask(cfg.Width)
-	res.CarryOut = carry
-	return res
 }
 
 // ExecuteApproximate models an *approximate* speculative adder (the
 // error-accepting designs of related work [10]–[13]): it returns the
 // cycle-1 result unconditionally in a single cycle, along with whether
 // that result happens to be exact. Used by the ablation benches to show
-// why the paper insists on correction.
+// why the paper insists on correction. Cycle 1 is one SWAR add over all
+// slices: slice MSBs cleared so no carry crosses a slice, each slice's
+// speculated carry-in placed at its LSB, the MSB sum bits restored by XOR.
 func (s *SlicedAdder) ExecuteApproximate(a, b uint64, op Op, predicted uint64) (sum uint64, exact bool) {
 	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
-	cfg := s.cfg
-	n := cfg.NumSlices()
-	var out uint64
-	for i := uint(0); i < n; i++ {
-		lo := i * cfg.SliceBits
-		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
-		sa := bitmath.Slice(ea, lo, w)
-		sb := bitmath.Slice(eb, lo, w)
-		cin := cin0
-		if i > 0 {
-			cin = uint((predicted >> (i - 1)) & 1)
-		}
-		sliceSum, _ := bitmath.AddWithCarry(sa, sb, cin, w)
-		out |= sliceSum << lo
+	k := s.cfg.SliceBits
+	msb := s.msb | 1<<(s.cfg.Width-1)
+	body := s.wm &^ msb
+	cins := uint64(cin0)
+	for i := uint(0); i < s.nb; i++ {
+		cins |= (predicted >> i & 1) << ((i + 1) * k)
 	}
-	out &= bitmath.Mask(cfg.Width)
-	want, _ := bitmath.AddWithCarry(ea, eb, cin0, cfg.Width)
-	return out, out == want
+	out := ((ea & body) + (eb & body) + cins) ^ ((ea ^ eb) & msb)
+	return out, out == (ea+eb+uint64(cin0))&s.wm
 }
 
 // Reference computes the exact result the full-width reference adder

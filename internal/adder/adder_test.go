@@ -331,3 +331,173 @@ func TestResultDescribe(t *testing.T) {
 		}
 	}
 }
+
+// sliceLoopExecute is the slice-by-slice model of the ST² datapath, the
+// oracle the word-parallel ExecuteEffective is checked against. Cycle 1
+// runs every slice with its speculated carry-in; E compares each
+// speculated carry-in with the carry-out the slice below produced; S is
+// the OR of E from the lowest error upward; the final pass ripples the
+// true carries, taking each slice's cycle-1 computation when its carry-in
+// was right and its cycle-2 recomputation otherwise.
+func sliceLoopExecute(cfg Config, ea, eb uint64, cin0 uint, predicted uint64) Result {
+	n := cfg.NumSlices()
+	res := Result{Predicted: predicted & bitmath.Mask(cfg.NumBoundaries())}
+
+	var usedCin, cout1 [bitmath.MaxWidth]uint
+	var sums1 [bitmath.MaxWidth]uint64
+	for i := uint(0); i < n; i++ {
+		lo := i * cfg.SliceBits
+		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
+		cin := cin0
+		if i > 0 {
+			cin = uint((predicted >> (i - 1)) & 1)
+		}
+		usedCin[i] = cin
+		sums1[i], cout1[i] = bitmath.AddWithCarry(bitmath.Slice(ea, lo, w), bitmath.Slice(eb, lo, w), cin, w)
+	}
+
+	var seen bool
+	for i := uint(1); i < n; i++ {
+		if usedCin[i] != cout1[i-1] {
+			res.ErrorSlices |= 1 << (i - 1)
+			seen = true
+		}
+		if seen {
+			res.SuspectSlices |= 1 << (i - 1)
+		}
+	}
+	res.Recomputed = bitmath.PopCount64(res.SuspectSlices)
+	res.Mispredicted = res.ErrorSlices != 0
+	res.Cycles = 1
+	if res.Mispredicted {
+		res.Cycles = 2
+	}
+
+	carry := cin0
+	for i := uint(0); i < n; i++ {
+		lo := i * cfg.SliceBits
+		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
+		sliceSum, sliceCout := sums1[i], cout1[i]
+		if carry != usedCin[i] {
+			sliceSum, sliceCout = bitmath.AddWithCarry(bitmath.Slice(ea, lo, w), bitmath.Slice(eb, lo, w), carry, w)
+		}
+		res.Sum |= sliceSum << lo
+		carry = sliceCout
+		if i < n-1 {
+			res.ActualCarries |= uint64(carry) << i
+		}
+	}
+	res.Sum &= bitmath.Mask(cfg.Width)
+	res.CarryOut = carry
+	return res
+}
+
+// sliceLoopApproximate is the slice-by-slice cycle-1 result, the oracle
+// for ExecuteApproximate.
+func sliceLoopApproximate(cfg Config, ea, eb uint64, cin0 uint, predicted uint64) (uint64, bool) {
+	var out uint64
+	for i := uint(0); i < cfg.NumSlices(); i++ {
+		lo := i * cfg.SliceBits
+		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
+		cin := cin0
+		if i > 0 {
+			cin = uint((predicted >> (i - 1)) & 1)
+		}
+		s, _ := bitmath.AddWithCarry(bitmath.Slice(ea, lo, w), bitmath.Slice(eb, lo, w), cin, w)
+		out |= s << lo
+	}
+	want, _ := bitmath.AddWithCarry(ea, eb, cin0, cfg.Width)
+	return out, out == want
+}
+
+// differentialConfigs lists every geometry the differential checks cover:
+// each width with every slice width from 1 to min(8, width) — the range
+// gpusim accepts — plus 16- and 32-bit slices on the 64-bit adder.
+func differentialConfigs() []Config {
+	var cfgs []Config
+	for _, w := range []uint{3, 8, 13, 16, 24, 32, 52, 64} {
+		for k := uint(1); k <= min(8, w); k++ {
+			cfgs = append(cfgs, Config{Width: w, SliceBits: k})
+		}
+	}
+	return append(cfgs, Config{64, 16}, Config{64, 32})
+}
+
+// checkAgainstSliceLoop compares one operation on s with the slice-loop
+// oracles, for both the raw-operand and the effective-operand entry.
+func checkAgainstSliceLoop(t *testing.T, s *SlicedAdder, a, b uint64, op Op, pred uint64) {
+	t.Helper()
+	cfg := s.Config()
+	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
+	want := sliceLoopExecute(cfg, ea, eb, cin0, pred)
+	if got := s.Execute(a, b, op, pred); got != want {
+		t.Fatalf("%+v %v a=%#x b=%#x pred=%#x:\n got %+v\nwant %+v", cfg, op, a, b, pred, got, want)
+	}
+	if got := s.ExecuteEffective(ea, eb, cin0, pred); got != want {
+		t.Fatalf("%+v ExecuteEffective ea=%#x eb=%#x cin=%d pred=%#x:\n got %+v\nwant %+v", cfg, ea, eb, cin0, pred, got, want)
+	}
+	gotSum, gotExact := s.ExecuteApproximate(a, b, op, pred)
+	wantSum, wantExact := sliceLoopApproximate(cfg, ea, eb, cin0, pred)
+	if gotSum != wantSum || gotExact != wantExact {
+		t.Fatalf("%+v %v approximate a=%#x b=%#x pred=%#x: got (%#x,%v) want (%#x,%v)",
+			cfg, op, a, b, pred, gotSum, gotExact, wantSum, wantExact)
+	}
+}
+
+// The word-parallel adder returns exactly the slice-loop oracle's Result
+// (struct equality: sum, carry-out, cycles, E, S, recompute count, true
+// carries, echoed predictions) over random operands, planted
+// all-propagate and all-generate carry chains, and random, all-zero,
+// all-one and exactly-right predictions.
+func TestSlicedAdderMatchesSliceLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, cfg := range differentialConfigs() {
+		s := mustNew(t, cfg)
+		wm := bitmath.Mask(cfg.Width)
+		for i := 0; i < 200; i++ {
+			a := rng.Uint64()
+			run := bitmath.Mask(uint(rng.Intn(int(cfg.Width)+1))) << uint(rng.Intn(int(cfg.Width)))
+			operands := [][2]uint64{
+				{a, rng.Uint64()},
+				{a, ^a & wm},                  // all-propagate: a ripple spans the width
+				{a, ^a ^ (1 << rng.Intn(64))}, // propagate chain with one break
+				{wm, wm},                      // all-generate
+				{run, run | rng.Uint64()&^wm}, // generate run, junk above Width
+				{a &^ run, (^a | run) & wm},   // propagate outside a generate run
+			}
+			for _, ab := range operands {
+				for _, op := range []Op{Add, Sub} {
+					ea, eb, cin0 := s.EffectiveOperands(ab[0], ab[1], op)
+					right := bitmath.BoundaryCarriesPacked(ea, eb, cin0, cfg.Width, cfg.SliceBits)
+					for _, pred := range []uint64{rng.Uint64(), 0, ^uint64(0), right} {
+						checkAgainstSliceLoop(t, s, ab[0], ab[1], op, pred)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSlicedAdderAgainstSliceLoop drives the same differential check from
+// the fuzzer: geom picks one of differentialConfigs.
+func FuzzSlicedAdderAgainstSliceLoop(f *testing.F) {
+	cfgs := differentialConfigs()
+	adders := make([]*SlicedAdder, len(cfgs))
+	for i, cfg := range cfgs {
+		s, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		adders[i] = s
+	}
+	f.Add(uint64(0xFF), uint64(0x01), uint64(0), false, uint8(0))
+	f.Add(^uint64(0), uint64(1), uint64(0x7F), true, uint8(len(cfgs)-3))
+	f.Add(uint64(0x8080808080808080), uint64(0x7F7F7F7F7F7F7F7F), ^uint64(0), false, uint8(40))
+	f.Fuzz(func(t *testing.T, a, b, pred uint64, sub bool, geom uint8) {
+		op := Add
+		if sub {
+			op = Sub
+		}
+		checkAgainstSliceLoop(t, adders[int(geom)%len(adders)], a, b, op, pred)
+	})
+}

@@ -33,44 +33,12 @@ func NewCSLA(cfg Config) (*CSLA, error) {
 // Config returns the adder's configuration.
 func (c *CSLA) Config() Config { return c.cfg }
 
-// Execute performs one add/sub.
+// Execute performs one add/sub. The final multiplexer chain selects, in
+// every slice, the alternative computed with that slice's true carry-in,
+// so the selected result is always the exact sum; the model's content is
+// the cost, the 2n−1 slice computations.
 func (c *CSLA) Execute(a, b uint64, op Op) CSLAResult {
-	cfg := c.cfg
-	m := bitmath.Mask(cfg.Width)
-	ea := a & m
-	eb := b & m
-	cin0 := uint(0)
-	if op == Sub {
-		eb = bitmath.OnesComplement(b, cfg.Width)
-		cin0 = 1
-	}
-	n := cfg.NumSlices()
-	var sum uint64
-	carry := cin0
-	comps := 0
-	for i := uint(0); i < n; i++ {
-		lo := i * cfg.SliceBits
-		w := bitmath.SliceWidthAt(i, cfg.Width, cfg.SliceBits)
-		sa := bitmath.Slice(ea, lo, w)
-		sb := bitmath.Slice(eb, lo, w)
-		if i == 0 {
-			s, co := bitmath.AddWithCarry(sa, sb, cin0, w)
-			sum |= s << lo
-			carry = co
-			comps++
-			continue
-		}
-		// Both alternatives computed in parallel; the true carry selects.
-		s0, co0 := bitmath.AddWithCarry(sa, sb, 0, w)
-		s1, co1 := bitmath.AddWithCarry(sa, sb, 1, w)
-		comps += 2
-		if carry == 0 {
-			sum |= s0 << lo
-			carry = co0
-		} else {
-			sum |= s1 << lo
-			carry = co1
-		}
-	}
-	return CSLAResult{Sum: sum & m, CarryOut: carry, SliceComputations: comps}
+	ea, eb, cin0 := effectiveOperands(c.cfg.Width, a, b, op)
+	sum, cout := bitmath.AddWithCarry(ea, eb, cin0, c.cfg.Width)
+	return CSLAResult{Sum: sum, CarryOut: cout, SliceComputations: int(2*c.cfg.NumSlices() - 1)}
 }

@@ -75,15 +75,18 @@ func BoundaryCarries(a, b uint64, cin uint, width, sliceBits uint) []uint {
 }
 
 // BoundaryCarriesPacked is BoundaryCarries with the result packed into a
-// uint64, bit i holding the carry into slice i+1. It allocates nothing and
-// is the form used on the simulator fast path.
+// uint64, bit i holding the carry into slice i+1. Bit m of a^b^(a+b+cin)
+// is the carry into bit m, so the packed boundary carries are that carry
+// vector gathered at bits i·sliceBits — read as slice MSBs of the vector
+// shifted down one bit. The ST² adder model derives its ActualCarries the
+// same way. It allocates nothing and is the form used on the simulator
+// fast path. Widths above MaxWidth are treated as MaxWidth.
 func BoundaryCarriesPacked(a, b uint64, cin uint, width, sliceBits uint) uint64 {
-	n := NumSlices(width, sliceBits)
-	var packed uint64
-	for i := uint(1); i < n; i++ {
-		packed |= uint64(CarryInto(a, b, cin, i*sliceBits)) << (i - 1)
+	n := NumSlices(min(width, MaxWidth), sliceBits)
+	if n <= 1 {
+		return 0
 	}
-	return packed
+	return GatherSliceMSBs((a^b^(a+b+uint64(cin&1)))>>1, sliceBits, n-1)
 }
 
 // NumSlices returns how many sliceBits-wide slices cover width bits
@@ -230,4 +233,20 @@ func NonZeroBit(x uint64) uint64 { return (x | -x) >> 63 }
 // byte because each lands on a distinct bit.
 func GatherMSB8(x uint64) uint64 {
 	return (x & 0x8080808080808080) * 0x0002040810204081 >> 56
+}
+
+// GatherSliceMSBs collects the most-significant bit of each of the low n
+// sliceBits-wide slices of x into the low n bits of the result: output
+// bit j is bit (j+1)·sliceBits−1 of x. n·sliceBits must not exceed 64.
+// 8-bit slices, the paper's design point, take the one-multiply
+// GatherMSB8; other widths walk the n slices.
+func GatherSliceMSBs(x uint64, sliceBits, n uint) uint64 {
+	if sliceBits == 8 {
+		return GatherMSB8(x) & Mask(n)
+	}
+	var out uint64
+	for j := uint(0); j < n; j++ {
+		out |= (x >> ((j+1)*sliceBits - 1) & 1) << j
+	}
+	return out
 }

@@ -245,6 +245,45 @@ func TestCRFSpeculatorLearns(t *testing.T) {
 	}
 }
 
+// The hardware warp-add path allocates nothing in steady state: the unit
+// owns its effective-operand and carry scratch, the CRF hands out its row
+// without a copy, and write-back staging reuses per-row buffers. Two
+// warps whose PCs alias one CRF row flip their boundary-0 carry every
+// cycle, so both mispredict against the row the last cycle committed,
+// every cycle stages two contending write-backs, and BeginCycle commits
+// them between calls.
+func TestExecuteWarpAllocatesNothing(t *testing.T) {
+	u := newTestUnit(t, ALU)
+	crf := speculate.NewDefaultCRF(6)
+	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
+	// 0xC0+0x40 carries into slice 1, 0x80+0x00 does not; both have
+	// disagreeing slice-0 MSBs, so Peek leaves boundary 0 to the CRF.
+	carry := fullWarp(adder.Add, func(int) (uint64, uint64) { return 0xC0, 0x40 })
+	noCarry := fullWarp(adder.Sub, func(int) (uint64, uint64) { return 0x80, ^uint64(0) })
+	noCarry[WarpSize-1].Active = false
+	cycle := uint64(0)
+	var mispredicts int
+	step := func() {
+		cycle++
+		crf.BeginCycle(cycle)
+		lanes := &carry
+		if cycle%2 == 0 {
+			lanes = &noCarry
+		}
+		mispredicts += u.ExecuteWarp(spec, 3, 0, lanes).ThreadMispredicts
+		mispredicts += u.ExecuteWarp(spec, 3+16, 32, lanes).ThreadMispredicts
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("ExecuteWarp + BeginCycle allocated %.1f times per step, want 0", allocs)
+	}
+	if mispredicts == 0 {
+		t.Fatal("no lane mispredicted: the write-back path was not exercised")
+	}
+	if st := crf.Stats(); st.Conflicts == 0 || st.WritesCommitted == 0 {
+		t.Fatalf("CRF stats %+v: want contended, committed write-backs", st)
+	}
+}
+
 // Ltid sharing through the CRF: a second warp (different gtid base, same
 // lanes, same PC) benefits from the first warp's training.
 func TestCRFSharingAcrossWarps(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"st2gpu/internal/adder"
 	"st2gpu/internal/speculate"
@@ -126,6 +127,11 @@ type Unit struct {
 	price EnergyParams
 
 	agg UnitStats
+
+	// Per-warp-op scratch handed to the Speculator by pointer. The unit
+	// owns it (each SM owns its units), so the hot path allocates nothing.
+	eff    [WarpSize]EffOperands
+	actual [WarpSize]uint64
 }
 
 // UnitStats accumulates per-unit activity across a simulation.
@@ -198,10 +204,11 @@ func (u *Unit) ResetStats() {
 // detect, recompute, write back, and price the energy.
 func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSize]LaneOp) WarpResult {
 	var res WarpResult
-	var eff [WarpSize]EffOperands
+	eff, actual := &u.eff, &u.actual
 	var activeMask uint32
 	for l := 0; l < WarpSize; l++ {
 		if !lanes[l].Active {
+			eff[l] = EffOperands{}
 			continue
 		}
 		activeMask |= 1 << l
@@ -212,26 +219,26 @@ func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSiz
 		return res
 	}
 
-	preds := spec.PredictWarp(pc, gtidBase, lanes, &eff)
+	preds := spec.PredictWarp(pc, gtidBase, lanes, eff)
 
-	var actual [WarpSize]uint64
 	var mispred uint32
 	nb := int(u.geom.Boundaries())
 	for l := 0; l < WarpSize; l++ {
 		if !lanes[l].Active {
+			actual[l] = 0
 			continue
 		}
 		res.ActiveLanes++
-		r := u.ad.Execute(lanes[l].A, lanes[l].B, lanes[l].Op, preds[l].Carries)
+		r := u.ad.ExecuteEffective(eff[l].EA, eff[l].EB, eff[l].Cin0, preds[l].Carries)
 		res.Sums[l] = r.Sum
 		actual[l] = r.ActualCarries
 		res.SliceComputations += int(u.price.NumSlices) + r.Recomputed
 		res.RecomputedSlices += r.Recomputed
 
-		staticBits := popcount32(uint32(preds[l].Static))
+		staticBits := bits.OnesCount32(uint32(preds[l].Static))
 		res.StaticBoundaries += staticBits
 		res.DynamicBoundaries += nb - staticBits
-		res.WrongBoundaries += popcount32(uint32(r.ErrorSlices &^ preds[l].Static))
+		res.WrongBoundaries += bits.OnesCount32(uint32(r.ErrorSlices &^ preds[l].Static))
 
 		if r.Mispredicted {
 			mispred |= 1 << l
@@ -244,7 +251,7 @@ func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSiz
 	if mispred != 0 {
 		res.Cycles = 2
 	}
-	spec.UpdateWarp(pc, gtidBase, activeMask, mispred, &actual)
+	spec.UpdateWarp(pc, gtidBase, activeMask, mispred, actual)
 
 	u.agg.MispredLanesHistogram.Observe(res.ThreadMispredicts)
 	res.EnergyST2 = u.price.ST2WarpEnergy(res.ActiveLanes, res.RecomputedSlices, res.ThreadMispredicts)
@@ -312,14 +319,6 @@ func (s *UnitStats) Merge(o UnitStats) {
 	}
 }
 
-func popcount32(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
 // CRFSpeculator is the hardware speculation path: Peek in the slices, the
 // SM's Carry Register File for dynamic history, write-back of mispredicted
 // lanes with per-row arbitration (the CRF handles staging).
@@ -333,12 +332,13 @@ type CRFSpeculator struct {
 // PredictWarp implements Speculator with one CRF row read per warp.
 func (c *CRFSpeculator) PredictWarp(pc, _ uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands) [WarpSize]speculate.Prediction {
 	row := c.CRF.ReadRow(pc)
+	bm := c.Geom.BoundaryMask()
 	var out [WarpSize]speculate.Prediction
 	for l := 0; l < WarpSize && l < len(row); l++ {
 		if !lanes[l].Active {
 			continue
 		}
-		hist := row[l] & c.Geom.BoundaryMask()
+		hist := row[l] & bm
 		if c.DisablePeek {
 			out[l] = speculate.Prediction{Carries: hist}
 			continue

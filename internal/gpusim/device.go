@@ -93,6 +93,10 @@ type WarpAddOp struct {
 // captured via SetRecorder, which records in parallel — one lock-free
 // shard per SM, folded in SM-ID order — and replays the bit-identical
 // stream any number of times without re-simulating.
+//
+// ops points into a buffer the simulator (or Replay) reuses for the next
+// warp add: it is valid only for the duration of the call, so a tracer
+// that keeps operations must copy them.
 type AddTracer interface {
 	TraceWarpAdds(unit core.UnitKind, pc, gtidBase uint32, ops *[32]WarpAddOp)
 }

@@ -253,9 +253,10 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 	if in.Type.Is64() {
 		unit = sm.alu64
 	}
-	var lanes [32]core.LaneOp
-	for l := 0; l < w.nLanes; l++ {
+	lanes := &sm.laneOps
+	for l := range lanes {
 		if execMask&(1<<l) == 0 {
+			lanes[l] = core.LaneOp{}
 			continue
 		}
 		a := sm.operand(w, in.Srcs[0], l)
@@ -263,12 +264,12 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 		lanes[l] = core.LaneOp{Active: true, A: a, B: b, Op: op}
 	}
 	if sm.dev.tracer != nil || sm.rec != nil {
-		if err := sm.observeLanes(unit, pc, w, &lanes); err != nil {
+		if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
 			return err
 		}
 	}
 	if sm.dev.cfg.AdderMode == ST2Adders {
-		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, &lanes)
+		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
 		for l := 0; l < w.nLanes; l++ {
 			if lanes[l].Active {
 				w.setReg(in.Dst, l, truncate(in.Type, wr.Sums[l]))
@@ -299,10 +300,11 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 // recording shard. The only error it can return is the recording
 // byte-cap tripping.
 func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]core.LaneOp) error {
-	var ops [32]WarpAddOp
+	ops := &sm.addOps
 	any := false
-	for l := 0; l < w.nLanes; l++ {
+	for l := range ops {
 		if !lanes[l].Active {
+			ops[l] = WarpAddOp{}
 			continue
 		}
 		ea, eb, cin0 := unit.Adder().EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
@@ -314,10 +316,10 @@ func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]
 		return nil
 	}
 	if sm.dev.tracer != nil {
-		sm.dev.tracer.TraceWarpAdds(unit.Kind, pc, w.gtidBase, &ops)
+		sm.dev.tracer.TraceWarpAdds(unit.Kind, pc, w.gtidBase, ops)
 	}
 	if sm.rec != nil {
-		return sm.rec.append(unit.Kind, pc, w.gtidBase, &ops)
+		return sm.rec.append(unit.Kind, pc, w.gtidBase, ops)
 	}
 	return nil
 }
@@ -331,8 +333,9 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 	if is64 {
 		unit = sm.dpu
 	}
-	var lanes [32]core.LaneOp
-	for l := 0; l < w.nLanes; l++ {
+	lanes := &sm.laneOps
+	for l := range lanes {
+		lanes[l] = core.LaneOp{}
 		if execMask&(1<<l) == 0 {
 			continue
 		}
@@ -366,12 +369,12 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 		w.setReg(in.Dst, l, out)
 	}
 	if sm.dev.tracer != nil || sm.rec != nil {
-		if err := sm.observeLanes(unit, pc, w, &lanes); err != nil {
+		if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
 			return err
 		}
 	}
 	if sm.dev.cfg.AdderMode == ST2Adders {
-		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, &lanes)
+		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
 		if wr.Cycles == 2 {
 			res.st2Stall = true
 		}

@@ -325,8 +325,9 @@ func (r *Recording) Decode(visit func(rec *DecodedRecord) error) error {
 // the live-traced ones. Replay is read-only: the same Recording can be
 // replayed any number of times, concurrently from multiple goroutines.
 func (r *Recording) Replay(t AddTracer) error {
+	ops := new([32]WarpAddOp) // one buffer for the whole replay
 	return r.Decode(func(rec *DecodedRecord) error {
-		var ops [32]WarpAddOp
+		*ops = [32]WarpAddOp{}
 		j := 0
 		for m := rec.Active; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
@@ -338,7 +339,7 @@ func (r *Recording) Replay(t AddTracer) error {
 			}
 			j++
 		}
-		t.TraceWarpAdds(rec.Kind, rec.PC, rec.GtidBase, &ops)
+		t.TraceWarpAdds(rec.Kind, rec.PC, rec.GtidBase, ops)
 		return nil
 	})
 }

@@ -87,6 +87,13 @@ type smState struct {
 	spec                   core.Speculator
 	baselineAdderOps       map[core.UnitKind]uint64
 
+	// Per-warp-add scratch: the lanes handed to the units and the
+	// speculator, and the effective operations handed to the tracer and
+	// recorder. Both cross an interface or a call boundary by pointer, so
+	// as locals they would escape to the heap on every warp add.
+	laneOps [32]core.LaneOp
+	addOps  [32]WarpAddOp
+
 	// Execution state.
 	warps      []*warp
 	blockQueue []int               // global block indices awaiting launch

@@ -65,13 +65,23 @@ type CRF struct {
 
 	rows [][]uint64 // [entry][lane] → packed carries
 
-	cycle  uint64
-	staged map[int][]crfWrite // row → this cycle's candidate writes
-	rng    *rand.Rand
-	stats  CRFStats
+	cycle   uint64
+	staged  []crfStage // [entry] → this cycle's candidate writes
+	pending int        // staged writes not yet committed, over all rows
+	rng     *rand.Rand
+	stats   CRFStats
 
-	rowReads []uint64            // per-row read counts
+	rowReads []uint64              // per-row read counts
 	rowPCs   []map[uint32]struct{} // per-row set of PCs observed reading it
+}
+
+// crfStage holds one row's candidate writes for the current cycle. The
+// writes slice and each write's carries buffer are reused from cycle to
+// cycle, so staging allocates only while a row sees more same-cycle
+// writers than it ever has before.
+type crfStage struct {
+	n      int        // writes[:n] are this cycle's candidates
+	writes []crfWrite // capacity kept across cycles
 }
 
 type crfWrite struct {
@@ -99,7 +109,7 @@ func NewCRF(entries, lanes int, boundaries uint, seed int64) (*CRF, error) {
 		lanes:    lanes,
 		nb:       boundaries,
 		rows:     rows,
-		staged:   make(map[int][]crfWrite),
+		staged:   make([]crfStage, entries),
 		rng:      rand.New(rand.NewSource(seed)),
 		rowReads: make([]uint64, entries),
 		rowPCs:   make([]map[uint32]struct{}, entries),
@@ -123,7 +133,9 @@ func (c *CRF) Entries() int { return c.entries }
 func (c *CRF) Index(pc uint32) int { return int(pc) & (c.entries - 1) }
 
 // ReadRow returns the committed history of every lane in the row holding
-// pc. It counts as one 224-bit read port access.
+// pc. It counts as one 224-bit read port access. The slice is the row
+// itself, not a copy: callers must treat it as read-only, and it is valid
+// until the next commit (BeginCycle, Flush or Reset).
 func (c *CRF) ReadRow(pc uint32) []uint64 {
 	c.stats.Reads++
 	idx := c.Index(pc)
@@ -136,10 +148,7 @@ func (c *CRF) ReadRow(pc uint32) []uint64 {
 	if _, seen := set[pc]; !seen {
 		set[pc] = struct{}{}
 	}
-	row := c.rows[idx]
-	out := make([]uint64, len(row))
-	copy(out, row)
-	return out
+	return c.rows[idx]
 }
 
 // ReadLane returns one lane's committed history without charging a read
@@ -151,7 +160,7 @@ func (c *CRF) ReadLane(pc uint32, lane int) uint64 {
 // BeginCycle advances the CRF clock, committing the previous cycle's
 // staged writes with per-row random arbitration.
 func (c *CRF) BeginCycle(cycle uint64) {
-	if cycle == c.cycle && len(c.staged) == 0 {
+	if cycle == c.cycle && c.pending == 0 {
 		c.cycle = cycle
 		return
 	}
@@ -170,10 +179,15 @@ func (c *CRF) WriteBack(pc uint32, laneMask uint32, carries []uint64) error {
 	if len(carries) != c.lanes {
 		return fmt.Errorf("speculate: write-back with %d lanes, CRF has %d", len(carries), c.lanes)
 	}
-	row := c.Index(pc)
-	cp := make([]uint64, c.lanes)
-	copy(cp, carries)
-	c.staged[row] = append(c.staged[row], crfWrite{laneMask: laneMask, carries: cp})
+	st := &c.staged[c.Index(pc)]
+	if st.n == len(st.writes) {
+		st.writes = append(st.writes, crfWrite{carries: make([]uint64, c.lanes)})
+	}
+	w := &st.writes[st.n]
+	st.n++
+	w.laneMask = laneMask
+	copy(w.carries, carries)
+	c.pending++
 	c.stats.WriteRequests++
 	return nil
 }
@@ -182,16 +196,18 @@ func (c *CRF) WriteBack(pc uint32, laneMask uint32, carries []uint64) error {
 func (c *CRF) Flush() { c.commit() }
 
 func (c *CRF) commit() {
-	if len(c.staged) == 0 {
+	if c.pending == 0 {
 		return
 	}
-	// Iterate rows in order for determinism; map iteration order must not
-	// influence the RNG stream.
-	for row := 0; row < c.entries; row++ {
-		cands := c.staged[row]
+	// Iterate rows in ascending order: the arbitration draws one RNG value
+	// per contended row, so row order fixes the stream.
+	for row := range c.staged {
+		st := &c.staged[row]
+		cands := st.writes[:st.n]
 		if len(cands) == 0 {
 			continue
 		}
+		st.n = 0
 		winner := 0
 		if len(cands) > 1 {
 			winner = c.rng.Intn(len(cands))
@@ -199,14 +215,15 @@ func (c *CRF) commit() {
 		}
 		w := cands[winner]
 		c.stats.WritesCommitted++
+		m := bitmath.Mask(c.nb)
 		for lane := 0; lane < c.lanes; lane++ {
 			if w.laneMask&(1<<lane) != 0 {
-				c.rows[row][lane] = w.carries[lane] & bitmath.Mask(c.nb)
+				c.rows[row][lane] = w.carries[lane] & m
 				c.stats.LaneBitsWritten += uint64(c.nb)
 			}
 		}
 	}
-	c.staged = make(map[int][]crfWrite)
+	c.pending = 0
 }
 
 // Stats returns a copy of the activity counters, including the per-row
@@ -229,7 +246,10 @@ func (c *CRF) Reset() {
 			c.rows[i][j] = 0
 		}
 	}
-	c.staged = make(map[int][]crfWrite)
+	for i := range c.staged {
+		c.staged[i].n = 0
+	}
+	c.pending = 0
 	c.stats = CRFStats{}
 	c.cycle = 0
 	for i := range c.rowReads {
