@@ -6,6 +6,7 @@
 //
 //	st2sim [-kernel name|all] [-mode st2|baseline] [-scale N] [-sms N] [-report mix|mispred|cycles|full]
 //	       [-json out.jsonl] [-trace-out run.trace.json] [-bench BENCH_smoke.json] [-progress] [-pprof addr]
+//	       [-cpuprofile cpu.pprof]
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"text/tabwriter"
 	"time"
 
@@ -39,6 +41,7 @@ func main() {
 		benchOut = flag.String("bench", "", "append a smoke-benchmark summary entry to this JSON trend array (read by st2trend)")
 		progress = flag.Bool("progress", false, "print [i/n] kernel progress lines to stderr")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -71,6 +74,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "st2sim: serving /debug/pprof, /debug/vars, and /metrics on http://%s\n", srv.Addr())
+	}
+	if *cpuprof != "" {
+		defer startCPUProfile(*cpuprof)()
 	}
 	// The span tracer feeds the -trace-out timeline and the runlog v2
 	// span events only; it never touches RunStats.
@@ -323,6 +329,24 @@ func pct(n uint64, tot float64) float64 {
 		return 0
 	}
 	return 100 * float64(n) / tot
+}
+
+// startCPUProfile starts writing a CPU profile to path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) func() {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
 }
 
 func fatal(err error) {

@@ -83,9 +83,10 @@ type LaneOp struct {
 // write-back. Implementations: CRFSpeculator (the hardware path) and
 // PredictorSpeculator (DSE / trace analysis path).
 type Speculator interface {
-	// PredictWarp returns one Prediction per lane (length WarpSize);
-	// inactive lanes may hold zero values.
-	PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands) [WarpSize]speculate.Prediction
+	// PredictWarp fills out[l] for every active lane; entries of inactive
+	// lanes are left unspecified. out is caller-owned scratch, so the
+	// warp's 32 predictions are never copied by value.
+	PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands, out *[WarpSize]speculate.Prediction)
 	// UpdateWarp records the true boundary carries; mispred marks lanes
 	// whose speculation failed (the only ones the hardware writes back).
 	UpdateWarp(pc, gtidBase uint32, active, mispred uint32, actual *[WarpSize]uint64)
@@ -132,6 +133,7 @@ type Unit struct {
 	// owns it (each SM owns its units), so the hot path allocates nothing.
 	eff    [WarpSize]EffOperands
 	actual [WarpSize]uint64
+	preds  [WarpSize]speculate.Prediction
 }
 
 // UnitStats accumulates per-unit activity across a simulation.
@@ -204,31 +206,35 @@ func (u *Unit) ResetStats() {
 // detect, recompute, write back, and price the energy.
 func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSize]LaneOp) WarpResult {
 	var res WarpResult
-	eff, actual := &u.eff, &u.actual
+	eff, actual, preds := &u.eff, &u.actual, &u.preds
 	var activeMask uint32
-	for l := 0; l < WarpSize; l++ {
-		if !lanes[l].Active {
-			eff[l] = EffOperands{}
-			continue
+	for l := range lanes {
+		if lanes[l].Active {
+			activeMask |= 1 << l
 		}
-		activeMask |= 1 << l
-		ea, eb, cin0 := u.ad.EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
-		eff[l] = EffOperands{EA: ea, EB: eb, Cin0: cin0}
 	}
 	if activeMask == 0 {
 		return res
 	}
+	// Inactive lanes hand the speculator zero operands and zero carries.
+	for m := ^activeMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		eff[l] = EffOperands{}
+		actual[l] = 0
+	}
+	for m := activeMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		ea, eb, cin0 := u.ad.EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
+		eff[l] = EffOperands{EA: ea, EB: eb, Cin0: cin0}
+	}
 
-	preds := spec.PredictWarp(pc, gtidBase, lanes, eff)
+	spec.PredictWarp(pc, gtidBase, lanes, eff, preds)
 
 	var mispred uint32
 	nb := int(u.geom.Boundaries())
-	for l := 0; l < WarpSize; l++ {
-		if !lanes[l].Active {
-			actual[l] = 0
-			continue
-		}
-		res.ActiveLanes++
+	res.ActiveLanes = bits.OnesCount32(activeMask)
+	for m := activeMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
 		r := u.ad.ExecuteEffective(eff[l].EA, eff[l].EB, eff[l].Cin0, preds[l].Carries)
 		res.Sums[l] = r.Sum
 		actual[l] = r.ActualCarries
@@ -330,10 +336,12 @@ type CRFSpeculator struct {
 }
 
 // PredictWarp implements Speculator with one CRF row read per warp.
-func (c *CRFSpeculator) PredictWarp(pc, _ uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands) [WarpSize]speculate.Prediction {
+func (c *CRFSpeculator) PredictWarp(pc, _ uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands, out *[WarpSize]speculate.Prediction) {
 	row := c.CRF.ReadRow(pc)
 	bm := c.Geom.BoundaryMask()
-	var out [WarpSize]speculate.Prediction
+	for l := len(row); l < WarpSize; l++ {
+		out[l] = speculate.Prediction{} // a CRF narrower than the warp predicts zero
+	}
 	for l := 0; l < WarpSize && l < len(row); l++ {
 		if !lanes[l].Active {
 			continue
@@ -349,7 +357,6 @@ func (c *CRFSpeculator) PredictWarp(pc, _ uint32, lanes *[WarpSize]LaneOp, eff *
 			Static:  static,
 		}
 	}
-	return out
 }
 
 // UpdateWarp implements Speculator: only mispredicted lanes write back.
@@ -367,8 +374,7 @@ type PredictorSpeculator struct {
 }
 
 // PredictWarp implements Speculator.
-func (p *PredictorSpeculator) PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands) [WarpSize]speculate.Prediction {
-	var out [WarpSize]speculate.Prediction
+func (p *PredictorSpeculator) PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands, out *[WarpSize]speculate.Prediction) {
 	for l := 0; l < WarpSize; l++ {
 		if !lanes[l].Active {
 			continue
@@ -382,7 +388,6 @@ func (p *PredictorSpeculator) PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]
 			Cin0: eff[l].Cin0,
 		})
 	}
-	return out
 }
 
 // UpdateWarp implements Speculator with per-thread updates.

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,6 +341,12 @@ func (d *Device) Launch(k *Kernel) (*RunStats, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
+	// refill admits whole blocks only, so a block wider than the SM's
+	// warp budget would never launch and the SM would spin to MaxCycles.
+	if need := (k.BlockDim + 31) / 32; need > d.cfg.MaxWarpsPerSM {
+		return nil, fmt.Errorf("gpusim: a %d-thread block needs %d warps, more than MaxWarpsPerSM %d",
+			k.BlockDim, need, d.cfg.MaxWarpsPerSM)
+	}
 	launchSpan := d.obs.Begin("gpusim.launch",
 		obs.Str("kernel", k.Program.Name),
 		obs.Int("grid", int64(k.GridDim)),
@@ -491,6 +498,7 @@ func (d *Device) newSM(id int, k *Kernel, params []byte) (*smState, error) {
 		barrierArrived:   make(map[int]int),
 		baselineAdderOps: make(map[core.UnitKind]uint64),
 		stats:            newSMStats(),
+		lineShift:        uint(bits.TrailingZeros(uint(d.cfg.LineBytes))), // a power of two (Validate)
 	}
 	// Execution pipe pools (Volta-like counts).
 	sm.pools[poolALU] = make([]uint64, d.cfg.SchedulersPerSM)

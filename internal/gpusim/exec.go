@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"st2gpu/internal/adder"
 	"st2gpu/internal/core"
@@ -24,6 +25,11 @@ type warp struct {
 
 	pc     [32]int32 // per-thread next instruction; -1 = exited
 	minpc  int32     // cached min over live pc lanes; see refreshMinPC
+	// lanes marks the threads that have not exited. converged, when set,
+	// says every one of them is at minpc, so executeStep needs no lane
+	// scan; clear means "unknown" and the next step scans.
+	lanes     uint32
+	converged bool
 	regs   []uint64  // flat: reg*32 + lane
 	preds  []bool    // flat: pred*32 + lane
 	shared []byte    // block shared memory (shared with sibling warps)
@@ -31,6 +37,7 @@ type warp struct {
 	// Scheduling state.
 	regReady  []uint64 // scoreboard: cycle each data register becomes readable
 	nextIssue uint64   // in-order issue point
+	readyAt   uint64   // cached srcReadyAt; see smState.srcReadyAt
 	atBarrier bool
 	done      bool
 }
@@ -40,22 +47,25 @@ func (w *warp) setReg(r isa.Reg, lane int, v uint64) { w.regs[int(r)*32+lane] = 
 func (w *warp) pred(p isa.PReg, lane int) bool       { return w.preds[int(p)*32+lane] }
 func (w *warp) setPred(p isa.PReg, lane int, v bool) { w.preds[int(p)*32+lane] = v }
 
+// row returns register r's 32 lane values.
+func (w *warp) row(r isa.Reg) []uint64 { return w.regs[int(r)*32 : int(r)*32+32] }
+
 // minPC returns the smallest live PC (SIMT min-PC reconvergence) or -1
 // when every thread has exited. It reads the cache that refreshMinPC
 // keeps; the scheduler asks several times per warp per cycle, while lane
 // PCs change at most once per issued instruction.
 func (w *warp) minPC() int32 { return w.minpc }
 
-// refreshMinPC rescans the lane PCs into the minPC cache. Every write to
-// w.pc must be followed by a call before minPC is read again.
+// refreshMinPC rescans the live lane PCs into the minPC cache. Every
+// write to w.pc must leave minpc equal to this scan before minPC is read
+// again: by calling it, or by setting minpc when the new minimum is known
+// (executeStep does so for converged warps). A write of -1 must also clear
+// the lane from w.lanes.
 func (w *warp) refreshMinPC() {
 	min := int32(-1)
-	for l := 0; l < w.nLanes; l++ {
-		if w.pc[l] < 0 {
-			continue
-		}
-		if min < 0 || w.pc[l] < min {
-			min = w.pc[l]
+	for m := w.lanes; m != 0; m &= m - 1 {
+		if pc := w.pc[bits.TrailingZeros32(m)]; min < 0 || pc < min {
+			min = pc
 		}
 	}
 	w.minpc = min
@@ -124,40 +134,45 @@ func truncate(ty isa.Type, v uint64) uint64 {
 // all threads whose PC equals it, advances their PCs, and returns the
 // timing facts. Errors indicate simulator bugs or out-of-bounds memory.
 func (sm *smState) executeStep(w *warp) (stepResult, error) {
-	pc := w.minPC()
-	if pc < 0 {
-		return stepResult{exited: true}, nil
-	}
+	pc := w.minPC() // ≥ 0: tryIssue steps only unfinished warps
 	prog := sm.kernel.Program
 	in := &prog.Instrs[pc]
 	res := stepResult{class: in.Op.Class(), dstReg: in.Dst, hasDst: in.Op.HasDst()}
 
 	// The execution set: threads at this PC whose guard passes. Threads at
-	// this PC with a failing guard still advance their PC.
-	var atPC [32]bool
-	var execMask uint32
-	for l := 0; l < w.nLanes; l++ {
-		if w.pc[l] != pc {
-			continue
-		}
-		atPC[l] = true
-		pass := true
-		if in.Guard != isa.NoPred {
-			pass = w.pred(in.Guard, l) != in.GuardNeg
-		}
-		if pass {
-			execMask |= 1 << l
-			res.activeLanes++
-		}
-	}
-
-	advance := func() {
-		for l := 0; l < w.nLanes; l++ {
-			if atPC[l] {
-				w.pc[l] = pc + 1
+	// this PC with a failing guard still advance their PC. A converged
+	// warp has every live thread at pc; otherwise scan for them.
+	live, atPC := w.lanes, w.lanes
+	if !w.converged {
+		atPC = 0
+		for m := live; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros32(m); w.pc[l] == pc {
+				atPC |= 1 << l
 			}
 		}
-		w.refreshMinPC()
+		w.converged = atPC == live
+	}
+	execMask := atPC
+	if in.Guard != isa.NoPred {
+		row := w.preds[int(in.Guard)*32:]
+		for m := atPC; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			if row[l] == in.GuardNeg {
+				execMask &^= 1 << l
+			}
+		}
+	}
+	res.activeLanes = bits.OnesCount32(execMask)
+
+	// advance moves the threads at pc to pc+1. pc was the minimum live
+	// PC and every other live thread sits above it, so pc+1 is the new
+	// minimum whether or not the warp is converged, and a converged warp
+	// stays converged.
+	advance := func() {
+		for m := atPC; m != 0; m &= m - 1 {
+			w.pc[bits.TrailingZeros32(m)] = pc + 1
+		}
+		w.minpc = pc + 1
 	}
 
 	lat, occ := sm.dev.latency(in.Op)
@@ -168,14 +183,23 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 		advance()
 
 	case isa.OpExit:
-		for l := 0; l < w.nLanes; l++ {
-			if atPC[l] && execMask&(1<<l) != 0 {
+		for m := atPC; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			if execMask&(1<<l) != 0 {
 				w.pc[l] = -1
-			} else if atPC[l] {
+			} else {
 				w.pc[l] = pc + 1
 			}
 		}
-		w.refreshMinPC()
+		w.lanes &^= execMask
+		switch {
+		case execMask != atPC:
+			w.minpc = pc + 1 // some threads at pc stayed, and they are lowest
+		case atPC == live:
+			w.minpc = -1 // every live thread exited
+		default:
+			w.refreshMinPC()
+		}
 		res.exited = w.minPC() < 0
 
 	case isa.OpBar:
@@ -183,17 +207,27 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 		res.barrier = true
 
 	case isa.OpBra:
-		for l := 0; l < w.nLanes; l++ {
-			if !atPC[l] {
-				continue
-			}
+		target := int32(in.Target)
+		for m := atPC; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			if execMask&(1<<l) != 0 {
-				w.pc[l] = int32(in.Target)
+				w.pc[l] = target
 			} else {
 				w.pc[l] = pc + 1
 			}
 		}
-		w.refreshMinPC()
+		switch {
+		case atPC != live:
+			w.refreshMinPC() // diverged: other threads wait elsewhere
+		case execMask == 0:
+			w.minpc = pc + 1
+		case execMask == atPC || target == pc+1:
+			w.minpc = target
+		default:
+			// The warp splits between target and pc+1.
+			w.minpc = min(target, pc+1)
+			w.converged = false
+		}
 
 	case isa.OpIAdd, isa.OpISub:
 		if err := sm.execIntAddSub(w, uint32(pc), in, execMask, &res); err != nil {
@@ -208,10 +242,8 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 		advance()
 
 	case isa.OpSetp:
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			a := sm.operand(w, in.Srcs[0], l)
 			b := sm.operand(w, in.Srcs[1], l)
 			w.setPred(in.PDst, l, compare(in.Cmp, in.Type, a, b))
@@ -225,10 +257,8 @@ func (sm *smState) executeStep(w *warp) (stepResult, error) {
 		advance()
 
 	default:
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			v, err := evalScalar(sm, w, in, l)
 			if err != nil {
 				return res, fmt.Errorf("gpusim: %s @%d lane %d: %w", prog.Name, pc, l, err)
@@ -254,13 +284,30 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 		unit = sm.alu64
 	}
 	lanes := &sm.laneOps
-	for l := range lanes {
-		if execMask&(1<<l) == 0 {
-			lanes[l] = core.LaneOp{}
-			continue
+	for m := ^execMask; m != 0; m &= m - 1 {
+		lanes[bits.TrailingZeros32(m)] = core.LaneOp{}
+	}
+	sa, sb := in.Srcs[0], in.Srcs[1]
+	var ra, rb []uint64
+	if sa.Kind == isa.OpReg {
+		ra = w.row(sa.Reg)
+	}
+	if sb.Kind == isa.OpReg {
+		rb = w.row(sb.Reg)
+	}
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		var a, b uint64
+		if ra != nil {
+			a = ra[l]
+		} else {
+			a = sm.operand(w, sa, l)
 		}
-		a := sm.operand(w, in.Srcs[0], l)
-		b := sm.operand(w, in.Srcs[1], l)
+		if rb != nil {
+			b = rb[l]
+		} else {
+			b = sm.operand(w, sb, l)
+		}
 		lanes[l] = core.LaneOp{Active: true, A: a, B: b, Op: op}
 	}
 	if sm.dev.tracer != nil || sm.rec != nil {
@@ -270,10 +317,10 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 	}
 	if sm.dev.cfg.AdderMode == ST2Adders {
 		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
-		for l := 0; l < w.nLanes; l++ {
-			if lanes[l].Active {
-				w.setReg(in.Dst, l, truncate(in.Type, wr.Sums[l]))
-			}
+		dst := w.row(in.Dst)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			dst[l] = truncate(in.Type, wr.Sums[l])
 		}
 		if wr.Cycles == 2 {
 			res.st2Stall = true
@@ -281,15 +328,14 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 		return nil
 	}
 	// Baseline: exact native arithmetic; count the op for pricing.
-	for l := 0; l < w.nLanes; l++ {
-		if !lanes[l].Active {
-			continue
-		}
+	dst := w.row(in.Dst)
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
 		v := lanes[l].A + lanes[l].B
 		if op == adder.Sub {
 			v = lanes[l].A - lanes[l].B
 		}
-		w.setReg(in.Dst, l, truncate(in.Type, v))
+		dst[l] = truncate(in.Type, v)
 	}
 	sm.baselineAdderOps[unit.Kind] += uint64(res.activeLanes)
 	return nil
@@ -334,11 +380,9 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 		unit = sm.dpu
 	}
 	lanes := &sm.laneOps
-	for l := range lanes {
-		lanes[l] = core.LaneOp{}
-		if execMask&(1<<l) == 0 {
-			continue
-		}
+	*lanes = [32]core.LaneOp{}
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
 		a := sm.operand(w, in.Srcs[0], l)
 		b := sm.operand(w, in.Srcs[1], l)
 		// Architectural result.

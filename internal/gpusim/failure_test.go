@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"st2gpu/internal/isa"
+	"st2gpu/internal/obs"
 )
 
 // Failure injection: the simulator must detect pathological kernels and
@@ -139,5 +140,35 @@ func TestImmediateExit(t *testing.T) {
 	}
 	if rs.ThreadInstrs[isa.FUCtrl] != 4*256 {
 		t.Errorf("ctrl thread instrs = %d, want one exit per thread", rs.ThreadInstrs[isa.FUCtrl])
+	}
+}
+
+// A block needing more warps than MaxWarpsPerSM can never be admitted by
+// refill; Launch must reject it up front instead of spinning until
+// MaxCycles.
+func TestBlockWiderThanWarpBudgetFailsFast(t *testing.T) {
+	b := isa.NewBuilder("wide")
+	b.Exit()
+	prog := b.MustBuild()
+
+	cfg := DefaultConfig()
+	cfg.NumSMs = 1
+	cfg.MaxWarpsPerSM = 4
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	d.SetObs(tr)
+	_, err = d.Launch(&Kernel{Program: prog, GridDim: 1, BlockDim: 256})
+	if err == nil || !strings.Contains(err.Error(), "needs 8 warps") || !strings.Contains(err.Error(), "MaxWarpsPerSM 4") {
+		t.Fatalf("want a warp-budget error naming 8 warps and MaxWarpsPerSM 4, got %v", err)
+	}
+	if tr.Len() != 0 {
+		t.Errorf("rejected launch recorded %d spans; it must fail before simulating", tr.Len())
+	}
+	// The widest block that fits still launches.
+	if _, err := d.Launch(&Kernel{Program: prog, GridDim: 1, BlockDim: 128}); err != nil {
+		t.Fatal(err)
 	}
 }

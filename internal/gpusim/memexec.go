@@ -3,6 +3,7 @@ package gpusim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"st2gpu/internal/isa"
 )
@@ -11,7 +12,7 @@ import (
 // coalescing into cache-line transactions for the global space.
 func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *stepResult) error {
 	size := in.Type.Size()
-	cfg := sm.dev.cfg
+	cfg := &sm.dev.cfg
 
 	switch in.Space {
 	case isa.Param:
@@ -22,10 +23,8 @@ func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *step
 		if in.Op != isa.OpLd {
 			return fmt.Errorf("gpusim: %v on param space", in.Op)
 		}
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			off := sm.operand(w, in.Srcs[0], l)
 			v, err := paramLoad(sm.params, off, size)
 			if err != nil {
@@ -38,10 +37,8 @@ func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *step
 	case isa.Shared:
 		res.memTransactions = 1
 		res.latency = cfg.SharedLatency
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			addr := sm.operand(w, in.Srcs[0], l)
 			if addr+size > uint64(len(w.shared)) {
 				return fmt.Errorf("gpusim: shared access [%#x,%#x) outside %d-byte block allocation",
@@ -69,17 +66,12 @@ func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *step
 	case isa.Global:
 		sm.stats.GlobalAccesses++
 		// Coalesce: distinct cache lines touched by the active lanes.
-		lineShift := uint(0)
-		for 1<<lineShift < cfg.LineBytes {
-			lineShift++
-		}
+		lineShift := sm.lineShift
 		var lines [32]uint64
 		nLines := 0
 		worst := uint64(0)
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
 			addr := sm.operand(w, in.Srcs[0], l)
 			switch in.Op {
 			case isa.OpLd:

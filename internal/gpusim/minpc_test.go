@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"testing"
 
 	"st2gpu/internal/isa"
@@ -133,6 +134,113 @@ func TestMinPCCacheMatchesLaneScan(t *testing.T) {
 				if !w.done || w.minPC() != -1 {
 					t.Errorf("warp %d finished with done=%v minPC=%d", w.id, w.done, w.minPC())
 				}
+			}
+			if steps == 0 {
+				t.Fatal("no instruction issued")
+			}
+		})
+	}
+}
+
+// TestSchedulerCachesMatchScan steps the scheduler cycle by cycle and
+// checks, after every issue attempt, the caches the issue check reads:
+// each unfinished warp's readyAt equals a fresh srcReadyAt, its lane mask
+// equals a scan of its live lanes and, when it claims to be converged,
+// every live lane is at its min-PC; the resident
+// counter equals a count of unfinished warps, and — after the cycle-start
+// compaction — the live list is exactly the ascending indices of the
+// unfinished warps. MaxBlocksPerSM 2 and MaxWarpsPerSM 8 make refill
+// launch blocks mid-cycle, and the barrier kernel covers release.
+func TestSchedulerCachesMatchScan(t *testing.T) {
+	cases := []struct {
+		name string
+		prog *isa.Program
+		k    Kernel
+	}{
+		{"divergent-branch", divergentLoopProgram(), Kernel{GridDim: 6, BlockDim: 64}},
+		{"partial-exit", partialExitProgram(), Kernel{GridDim: 3, BlockDim: 64}},
+		{"partial-last-warp", divergentLoopProgram(), Kernel{GridDim: 5, BlockDim: 50}},
+		{"barrier", barrierLoopProgram(), Kernel{GridDim: 5, BlockDim: 96}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NumSMs = 1
+			cfg.MaxBlocksPerSM = 2
+			cfg.MaxWarpsPerSM = 8
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := tc.k
+			k.Program = tc.prog
+			sm, err := d.newSM(0, &k, k.serializeParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < k.GridDim; b++ {
+				sm.blockQueue = append(sm.blockQueue, b)
+			}
+			check := func(when string) {
+				t.Helper()
+				resident := 0
+				for _, w := range sm.warps {
+					if w.done {
+						continue
+					}
+					resident++
+					if got, want := w.readyAt, sm.srcReadyAt(w); got != want {
+						t.Fatalf("cycle %d warp %d %s: cached readyAt %d, fresh srcReadyAt %d",
+							sm.cycle, w.id, when, got, want)
+					}
+					var lanes uint32
+					converged := true
+					for l := 0; l < w.nLanes; l++ {
+						if w.pc[l] >= 0 {
+							lanes |= 1 << l
+							converged = converged && w.pc[l] == scanMinPC(w)
+						}
+					}
+					if w.lanes != lanes || w.converged && !converged {
+						t.Fatalf("cycle %d warp %d %s: cached lanes %#x converged %v, scan %#x converged %v (pcs %v)",
+							sm.cycle, w.id, when, w.lanes, w.converged, lanes, converged, w.pc[:w.nLanes])
+					}
+				}
+				if sm.resident != resident {
+					t.Fatalf("cycle %d %s: resident counter %d, scan %d", sm.cycle, when, sm.resident, resident)
+				}
+			}
+			sm.refill()
+			steps := 0
+			for ; len(sm.liveBlocks) > 0 || len(sm.blockQueue) > 0; sm.cycle++ {
+				if sm.cycle > 100000 {
+					t.Fatal("kernel did not finish")
+				}
+				sm.compactLive()
+				var want []int32
+				for i, w := range sm.warps {
+					if !w.done {
+						want = append(want, int32(i))
+					}
+				}
+				if fmt.Sprint(sm.live) != fmt.Sprint(want) {
+					t.Fatalf("cycle %d: live list %v, unfinished warps %v", sm.cycle, sm.live, want)
+				}
+				sm.releaseBarriers()
+				check("after barrier release")
+				for _, i := range sm.live {
+					issued, err := sm.tryIssue(sm.warps[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if issued {
+						steps++
+					}
+					check("after issue")
+				}
+			}
+			if sm.resident != 0 || len(sm.warps) != k.GridDim*((k.BlockDim+31)/32) {
+				t.Errorf("finished with resident=%d after %d warps", sm.resident, len(sm.warps))
 			}
 			if steps == 0 {
 				t.Fatal("no instruction issued")

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"sort"
 
 	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
@@ -94,11 +95,18 @@ type smState struct {
 	laneOps [32]core.LaneOp
 	addOps  [32]WarpAddOp
 
-	// Execution state.
+	// Execution state. warps holds every warp the SM has launched, in
+	// launch order; live holds the ascending indices of the warps that
+	// have not finished, compacted at the start of each cycle (a warp
+	// that exits mid-cycle stays listed, marked done, until then), and
+	// resident counts them exactly.
 	warps      []*warp
+	live       []int32
+	resident   int
 	blockQueue []int               // global block indices awaiting launch
 	liveBlocks map[int]int         // blockIdx → live (not done) warp count
 	pools      [poolCount][]uint64 // busy-until per pipe
+	lineShift  uint                // log2(LineBytes): global address → cache line
 
 	cycle    uint64
 	rrPos    int
@@ -170,21 +178,31 @@ func (sm *smState) launchBlock(b int) {
 		for l := lanes; l < 32; l++ {
 			w.pc[l] = -1
 		}
+		w.lanes = uint32(1<<lanes - 1)
+		w.converged = true
 		w.refreshMinPC()
+		w.readyAt = sm.srcReadyAt(w)
+		sm.live = append(sm.live, int32(w.id))
 		sm.warps = append(sm.warps, w)
 	}
+	sm.resident += nWarps
 	sm.liveBlocks[b] = nWarps
 }
 
-// residentWarps counts warps that have not finished.
-func (sm *smState) residentWarps() int {
-	n := 0
-	for _, w := range sm.warps {
-		if !w.done {
-			n++
+// compactLive drops finished warps from the live list, keeping it
+// ascending. The list holds every unfinished warp, so it is longer than
+// the resident count exactly when some listed warp has finished.
+func (sm *smState) compactLive() {
+	if len(sm.live) == sm.resident {
+		return
+	}
+	live := sm.live[:0]
+	for _, i := range sm.live {
+		if !sm.warps[i].done {
+			live = append(live, i)
 		}
 	}
-	return n
+	sm.live = live
 }
 
 // refill launches queued blocks while resources allow.
@@ -192,7 +210,7 @@ func (sm *smState) refill() {
 	warpsPerBlock := (sm.kernel.BlockDim + 31) / 32
 	for len(sm.blockQueue) > 0 &&
 		len(sm.liveBlocks) < sm.dev.cfg.MaxBlocksPerSM &&
-		sm.residentWarps()+warpsPerBlock <= sm.dev.cfg.MaxWarpsPerSM {
+		sm.resident+warpsPerBlock <= sm.dev.cfg.MaxWarpsPerSM {
 		b := sm.blockQueue[0]
 		sm.blockQueue = sm.blockQueue[1:]
 		sm.launchBlock(b)
@@ -210,12 +228,13 @@ func (sm *smState) releaseBarriers() {
 	//st2:det-ok per-block effects are disjoint and idempotent: each b releases only its own block's warps, so visit order cannot reach results
 	for b, n := range sm.barrierArrived {
 		if n == sm.liveBlocks[b] {
-			for _, w := range sm.warps {
-				if w.blockIdx == b && w.atBarrier {
+			for _, i := range sm.live {
+				if w := sm.warps[i]; w.blockIdx == b && w.atBarrier {
 					w.atBarrier = false
 					if w.nextIssue < sm.cycle+1 {
 						w.nextIssue = sm.cycle + 1
 					}
+					w.readyAt = sm.srcReadyAt(w)
 				}
 			}
 			delete(sm.barrierArrived, b)
@@ -224,7 +243,10 @@ func (sm *smState) releaseBarriers() {
 }
 
 // srcReadyAt returns the cycle at which the warp's next instruction can
-// read all its operands.
+// read all its operands. It depends only on the warp's min-PC, regReady
+// and nextIssue, and the scheduler reads it through the warp's readyAt
+// cache: every write to those fields (block launch, issue, barrier
+// release) must be followed by refreshing readyAt.
 func (sm *smState) srcReadyAt(w *warp) uint64 {
 	pc := w.minPC()
 	if pc < 0 {
@@ -253,7 +275,7 @@ func (sm *smState) srcReadyAt(w *warp) uint64 {
 // earliestIssue computes when warp w could issue, considering scoreboard
 // and FU pool availability.
 func (sm *smState) earliestIssue(w *warp) uint64 {
-	t := sm.srcReadyAt(w)
+	t := w.readyAt
 	pc := w.minPC()
 	if pc >= 0 {
 		pool := poolFor(sm.kernel.Program.Instrs[pc].Op.Class())
@@ -270,18 +292,12 @@ func (sm *smState) earliestIssue(w *warp) uint64 {
 // tryIssue attempts to issue warp w at the current cycle; reports whether
 // it issued.
 func (sm *smState) tryIssue(w *warp) (bool, error) {
-	if w.done || w.atBarrier || w.nextIssue > sm.cycle {
+	if w.done || w.atBarrier || w.readyAt > sm.cycle {
 		return false, nil
 	}
-	if sm.srcReadyAt(w) > sm.cycle {
-		return false, nil
-	}
-	pc := w.minPC()
-	if pc < 0 {
-		w.done = true
-		return false, nil
-	}
-	in := &sm.kernel.Program.Instrs[pc]
+	// A warp that is not done has a live lane: lanes leave only through
+	// EXIT, and the EXIT that retires the last one marks the warp done.
+	in := &sm.kernel.Program.Instrs[w.minPC()]
 	pool := poolFor(in.Op.Class())
 	pipe := -1
 	if pool != poolNone {
@@ -317,6 +333,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	}
 	sm.stats.RegReads += uint64(res.activeLanes * in.Op.NumSrcs())
 	w.nextIssue = sm.cycle + 1
+	w.readyAt = sm.srcReadyAt(w)
 
 	// Bookkeeping.
 	cls := in.Op.Class()
@@ -329,6 +346,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	}
 	if res.exited {
 		w.done = true
+		sm.resident--
 		sm.liveBlocks[w.blockIdx]--
 		if sm.liveBlocks[w.blockIdx] == 0 {
 			delete(sm.liveBlocks, w.blockIdx)
@@ -336,6 +354,74 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// issueCycle runs one cycle's scheduler scan over the warps live at the
+// start of the cycle and returns how many warps issued (at most
+// SchedulersPerSM). Warps that refill launches during the scan have
+// indices at or above n and wait for the next cycle.
+//
+// LRR visits the live list from the first index ≥ rrPos mod n and wraps,
+// which is exactly the order of a modulo scan over all n launched warps
+// with the finished ones skipped. GTO first retries the most recent
+// issuer, then scans the live list oldest-first.
+func (sm *smState) issueCycle() (int, error) {
+	live := sm.live
+	n := len(sm.warps)
+	if len(live) == 0 {
+		return 0, nil
+	}
+	issued, width := 0, sm.dev.cfg.SchedulersPerSM
+	greedy := sm.dev.cfg.Scheduler == GTO
+	start := 0
+	if greedy {
+		// GTO: give the most recent issuer first claim on a slot.
+		if sm.lastWarp >= 0 && sm.lastWarp < n {
+			ok, err := sm.tryIssue(sm.warps[sm.lastWarp])
+			if err != nil {
+				return 0, err
+			}
+			if ok {
+				issued++
+			} else {
+				sm.lastWarp = -1
+			}
+		}
+	} else {
+		first := int32(sm.rrPos % n)
+		start = sort.Search(len(live), func(j int) bool { return live[j] >= first })
+	}
+	for j := 0; j < len(live) && issued < width; j++ {
+		k := start + j
+		if k >= len(live) {
+			k -= len(live)
+		}
+		// GTO revisits its most recent issuer here harmlessly: it has
+		// either issued this cycle (readyAt is past it) or failed.
+		idx := int(live[k])
+		ok, err := sm.tryIssue(sm.warps[idx])
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			issued++
+			if greedy {
+				sm.lastWarp = idx
+			}
+		}
+	}
+	return issued, nil
+}
+
+// warpsAtBarrier counts the unfinished warps waiting at a barrier.
+func (sm *smState) warpsAtBarrier() int {
+	n := 0
+	for _, i := range sm.live {
+		if w := sm.warps[i]; !w.done && w.atBarrier {
+			n++
+		}
+	}
+	return n
 }
 
 // run simulates this SM to completion.
@@ -351,44 +437,12 @@ func (sm *smState) run() error {
 		if sm.crf != nil {
 			sm.crf.BeginCycle(sm.cycle)
 		}
+		sm.compactLive()
 		sm.releaseBarriers()
 
-		issued := 0
-		n := len(sm.warps)
-		greedy := sm.dev.cfg.Scheduler == GTO
-		// GTO: give the most recent issuer first claim on a slot.
-		if greedy && sm.lastWarp >= 0 && sm.lastWarp < n {
-			ok, err := sm.tryIssue(sm.warps[sm.lastWarp])
-			if err != nil {
-				return err
-			}
-			if ok {
-				issued++
-			} else {
-				sm.lastWarp = -1
-			}
-		}
-		for scanned := 0; scanned < n && issued < sm.dev.cfg.SchedulersPerSM; scanned++ {
-			var idx int
-			if greedy {
-				idx = scanned // oldest-first
-			} else {
-				idx = (sm.rrPos + scanned) % n
-			}
-			if greedy && idx == sm.lastWarp {
-				continue
-			}
-			w := sm.warps[idx]
-			ok, err := sm.tryIssue(w)
-			if err != nil {
-				return err
-			}
-			if ok {
-				issued++
-				if greedy {
-					sm.lastWarp = idx
-				}
-			}
+		issued, err := sm.issueCycle()
+		if err != nil {
+			return err
 		}
 		sm.rrPos++
 
@@ -399,7 +453,8 @@ func (sm *smState) run() error {
 		// Nothing issuable: fast-forward to the next event.
 		next := ^uint64(0)
 		anyWaiting := false
-		for _, w := range sm.warps {
+		for _, i := range sm.live {
+			w := sm.warps[i]
 			if w.done || w.atBarrier {
 				continue
 			}
@@ -411,24 +466,13 @@ func (sm *smState) run() error {
 		if !anyWaiting {
 			// Everyone is at a barrier (or done): barriers must be
 			// releasable next round; advance one cycle.
-			stuck := 0
-			for _, w := range sm.warps {
-				if !w.done && w.atBarrier {
-					stuck++
-				}
-			}
+			stuck := sm.warpsAtBarrier()
 			if stuck > 0 && len(sm.liveBlocks) > 0 {
 				sm.cycle++
 				// If releaseBarriers cannot free anyone, the kernel has a
 				// divergent barrier — detect by re-checking.
 				sm.releaseBarriers()
-				still := 0
-				for _, w := range sm.warps {
-					if !w.done && w.atBarrier {
-						still++
-					}
-				}
-				if still == stuck {
+				if sm.warpsAtBarrier() == stuck {
 					return fmt.Errorf("gpusim: SM %d: %d warps deadlocked at a barrier", sm.id, stuck)
 				}
 				continue
