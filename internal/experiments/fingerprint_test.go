@@ -13,6 +13,7 @@ import (
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/isa"
+	"st2gpu/internal/speculate"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/suite_fingerprint.json from the current simulator")
@@ -50,7 +51,8 @@ type unitFP struct {
 }
 
 // suiteFingerprint is the golden: per-kernel launches in both adder
-// modes plus the headline rows of Figures 3, 5, 6 and 7.
+// modes plus the headline rows of Figures 3, 5, 6 and 7 and the
+// approximate-adder study.
 type suiteFingerprint struct {
 	Scale    int                          `json:"scale"`
 	NumSMs   int                          `json:"sms"`
@@ -60,6 +62,7 @@ type suiteFingerprint struct {
 	Fig5     []Fig5Row                    `json:"fig5"`
 	Fig6Avg  Fig6Row                      `json:"fig6_average"`
 	Fig7     Fig7Summary                  `json:"fig7_summary"`
+	Approx   []ApproxRow                  `json:"approx"`
 }
 
 func fingerprintLaunch(rs *gpusim.RunStats) launchFingerprint {
@@ -112,8 +115,8 @@ func fingerprintLaunch(rs *gpusim.RunStats) launchFingerprint {
 }
 
 // TestSuiteFingerprint pins the suite's absolute results at scale 1,
-// 2 SMs, seed 1: every kernel's RunStats under both adder modes and the
-// Figure 3/5/6/7 headline rows. Bit-identity tests compare runs with
+// 2 SMs, seed 1: every kernel's RunStats under both adder modes, the
+// Figure 3/5/6/7 headline rows and the approximate-adder study's rows. Bit-identity tests compare runs with
 // each other; this one compares them with the committed golden, so a
 // refactor that shifts a cycle count everywhere alike still fails.
 // Regenerate (and explain the diff) with
@@ -152,6 +155,9 @@ func TestSuiteFingerprint(t *testing.T) {
 	}
 	got.Fig6Avg = fig6[len(fig6)-1]
 	if _, got.Fig7, err = Fig7(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got.Approx, err = approxFromDecoded(cfg, dec, []string{"staticZero", "CASA", speculate.FinalDesign}); err != nil {
 		t.Fatal(err)
 	}
 
