@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a gofmt cleanliness check over every tracked Go file.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # st2lint: the determinism analyzers (DESIGN.md §11) plus the
 # concurrency-safety and wire-taint analyzers (DESIGN.md §16). Exits

@@ -108,25 +108,15 @@ func BenchmarkFig5DesignSpace(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Replay vs BenchmarkFig5Live time the record-once/
-// replay-many sweep against the legacy simulate-per-design baseline over
-// the same 12 designs. `make bench-dse` runs the same comparison via
+// BenchmarkFig5Replay times the record-once/replay-many sweep end to
+// end: record the suite, decode it once, sweep the 12 designs.
+// `make bench-dse` times the sweep strategies against each other via
 // `st2dse -bench` and additionally asserts the rates are bit-identical.
 
 func BenchmarkFig5Replay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig5(benchCfg(), nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5Live(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, d := range speculate.DesignSpace {
-			if _, err := experiments.Fig5Live(benchCfg(), []string{d}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -196,13 +196,18 @@ func reuseSet(cfg experiments.Config, path string) (*trace.Set, error) {
 
 // sweepReusingTrace replays the sweep from path when the recording set
 // already exists; otherwise it simulates the suite once, saves the set,
-// and replays from the fresh capture.
+// and replays from the fresh capture. Either way the set is decoded
+// once and swept on the in-process grid.
 func sweepReusingTrace(cfg experiments.Config, path string) ([]experiments.Fig5Row, error) {
 	set, err := reuseSet(cfg, path)
 	if err != nil {
 		return nil, err
 	}
-	return experiments.Fig5FromSet(cfg, set, nil)
+	dec, err := trace.DecodeSetTraced(set, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	return experiments.Fig5FromDecoded(cfg, dec, nil)
 }
 
 // sweepUsingStore runs the sweep from the columnar decoded store at
@@ -328,10 +333,10 @@ type benchResult struct {
 	Shards            int     `json:"shards"`                 // worker subprocesses the sharded sweep used
 	ShardedSecs       float64 `json:"sharded_seconds"`        // distributed sweep wall-clock (incl. worker spawn + partial loads)
 	ShardedEvalRate   float64 `json:"sharded_eval_ops_per_sec"`
-	ShardedVsBatched  float64 `json:"sharded_vs_batched"`               // batched_seconds / sharded_seconds (<1 on one box: IPC tax)
-	PartialLoadSecs   float64 `json:"store_partial_load_seconds"`       // OpenStore + LoadKernels of one kernel
-	PartialLoadRate   float64 `json:"store_partial_load_ops_per_sec"`   // that kernel's records / partial_load_seconds
-	PartialSpeedup    float64 `json:"store_partial_load_speedup"`       // store_load_seconds / partial_load_seconds
+	ShardedVsBatched  float64 `json:"sharded_vs_batched"`             // batched_seconds / sharded_seconds (<1 on one box: IPC tax)
+	PartialLoadSecs   float64 `json:"store_partial_load_seconds"`     // OpenStore + LoadKernels of one kernel
+	PartialLoadRate   float64 `json:"store_partial_load_ops_per_sec"` // that kernel's records / partial_load_seconds
+	PartialSpeedup    float64 `json:"store_partial_load_speedup"`     // store_load_seconds / partial_load_seconds
 	HostParallel      int     `json:"host_parallelism"`
 }
 

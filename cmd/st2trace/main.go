@@ -131,7 +131,11 @@ func main() {
 		var rows []experiments.Fig3Row
 		var err error
 		if set != nil {
-			rows, err = experiments.Fig3FromSet(cfg, set)
+			var dec *trace.Decoded
+			dec, err = trace.DecodeSetTraced(set, cfg.Obs)
+			if err == nil {
+				rows, err = experiments.Fig3FromDecoded(cfg, dec)
+			}
 		} else {
 			rows, err = experiments.Fig3(cfg)
 		}

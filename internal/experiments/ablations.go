@@ -23,7 +23,7 @@ type AblationResult struct {
 // the predictor-only ablations, which ride Fig5's record-once/replay-many
 // path).
 func (c Config) suiteMissRate(mut func(*gpusim.Config)) (float64, error) {
-	rates := make([]float64, 23)
+	rates := make([]float64, len(kernels.Suite()))
 	err := c.forEachKernel(func(i int, w kernels.Workload) error {
 		spec, err := w.Build(c.Scale)
 		if err != nil {
@@ -121,8 +121,8 @@ type ApproxRow struct {
 // adders [10]–[13]), CASA, and ST²'s own predictor — motivating the
 // paper's guaranteed-correctness design point. The suite is recorded
 // once, decoded once, and the (kernel × design) grid runs on the
-// decode-once sweep engine; rates are bit-identical to
-// ApproximateAdderStudyLive at any cfg.SweepWorkers count.
+// decode-once sweep engine; rates are bit-identical at any
+// cfg.SweepWorkers count.
 func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
 	set, err := RecordSuite(cfg)
 	if err != nil {
@@ -132,65 +132,11 @@ func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return approxFromDecoded(cfg, dec, []string{"staticZero", "CASA", speculate.FinalDesign})
+	return approxFromDecoded(cfg, dec, approxDesigns)
 }
 
-// ApproximateAdderStudyLive is the legacy live-tracer path (sequential
-// SM worker per launch); kept for parity testing.
-func ApproximateAdderStudyLive(cfg Config) ([]ApproxRow, error) {
-	return approximateAdderStudy(cfg, func(i int, w kernels.Workload, meter *trace.ApproxMeter) error {
-		_, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, meter)
-		return err
-	})
-}
-
-func approximateAdderStudy(cfg Config, feed func(i int, w kernels.Workload, meter *trace.ApproxMeter) error) ([]ApproxRow, error) {
-	designs := []string{"staticZero", "CASA", speculate.FinalDesign}
-	type kernelRates struct{ wrong, relErr []float64 }
-	perKernel := make([]kernelRates, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		meter, err := trace.NewApproxMeter(designs)
-		if err != nil {
-			return err
-		}
-		if err := feed(i, w, meter); err != nil {
-			return err
-		}
-		kr := kernelRates{wrong: make([]float64, len(designs)), relErr: make([]float64, len(designs))}
-		for j, d := range designs {
-			wr, err := meter.WrongRate(d)
-			if err != nil {
-				return err
-			}
-			re, err := meter.MeanRelError(d)
-			if err != nil {
-				return err
-			}
-			kr.wrong[j], kr.relErr[j] = wr, re
-		}
-		perKernel[i] = kr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Aggregate in suite order so the floating-point sums match the old
-	// sequential loop bit for bit.
-	out := make([]ApproxRow, len(designs))
-	for j, d := range designs {
-		var wrSum, reSum float64
-		for _, kr := range perKernel {
-			wrSum += kr.wrong[j]
-			reSum += kr.relErr[j]
-		}
-		out[j] = ApproxRow{
-			Design:       d,
-			WrongResults: wrSum / float64(len(perKernel)),
-			MeanRelError: reSum / float64(len(perKernel)),
-		}
-	}
-	return out, nil
-}
+// approxDesigns are the approximate-adder study's prediction schemes.
+var approxDesigns = []string{"staticZero", "CASA", speculate.FinalDesign}
 
 // CRFSizeRow is one point of the CRF-capacity sweep.
 type CRFSizeRow struct {

@@ -13,7 +13,6 @@ import (
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/isa"
-	"st2gpu/internal/speculate"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/suite_fingerprint.json from the current simulator")
@@ -140,7 +139,7 @@ func TestSuiteFingerprint(t *testing.T) {
 		}
 	}
 
-	_, dec := suiteStore(t)
+	dec := suiteStore(t).dec
 	fig3, err := Fig3FromDecoded(cfg, dec)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +156,7 @@ func TestSuiteFingerprint(t *testing.T) {
 	if _, got.Fig7, err = Fig7(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got.Approx, err = approxFromDecoded(cfg, dec, []string{"staticZero", "CASA", speculate.FinalDesign}); err != nil {
+	if got.Approx, err = approxFromDecoded(cfg, dec, approxDesigns); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"st2gpu/internal/kernels"
 	"st2gpu/internal/metrics"
 	"st2gpu/internal/obs"
 	"st2gpu/internal/trace"
@@ -18,14 +19,7 @@ import (
 // to produce: record/decode/sweep spans and the sweep-cell histograms.
 func TestObservabilityDoesNotPerturbSweep(t *testing.T) {
 	bare := Default()
-	set, err := RecordSuite(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := suiteStore(t).dec
 	baseF5, err := Fig5FromDecoded(bare, dec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +68,8 @@ func TestObservabilityDoesNotPerturbSweep(t *testing.T) {
 				t.Errorf("workers=%d: no %q span recorded (have %v)", workers, want, names)
 			}
 		}
-		if got := names["gpusim.launch"]; got != 23 {
-			t.Errorf("workers=%d: %d launch spans, want one per suite kernel (23)", workers, got)
+		if got, want := names["gpusim.launch"], len(kernels.Suite()); got != want {
+			t.Errorf("workers=%d: %d launch spans, want one per suite kernel (%d)", workers, got, want)
 		}
 
 		// ... and the sweep-cell metrics.

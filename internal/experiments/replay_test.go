@@ -8,107 +8,171 @@ import (
 
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/kernels"
+	"st2gpu/internal/speculate"
+	"st2gpu/internal/stats"
 	"st2gpu/internal/trace"
 )
 
-// These tests pin the record-once/replay-many contract at the driver
-// level: every replay-fed analysis must produce rates byte-equal to the
-// legacy sequential live-tracer path, for the full suite at scale 1.
-
-func TestFig3ReplayMatchesLive(t *testing.T) {
+// TestSuiteRowsMatchMeterReplay is the suite-level oracle of every
+// predictor-only figure: each recording of the recorded suite is
+// replayed through the streaming meters (DSEMeter, CorrMeter and
+// ApproxMeter, which compose Peek per design instead of hoisting it),
+// the per-kernel results are folded here in suite order, and the rows
+// must deep-equal what the sweep grid computes from the decoded set.
+func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 	cfg := Default()
-	live, err := Fig3Live(cfg)
+	suite := suiteStore(t)
+	designs := speculate.DesignSpace
+	names := kernels.Names()
+	miss := make([][]float64, len(designs)) // [design][kernel]
+	var fig3 []Fig3Row
+	var agg [3]stats.Rate
+	wrongSum := make([]float64, len(approxDesigns))
+	relErrSum := make([]float64, len(approxDesigns))
+	for _, name := range names {
+		rec, ok := suite.set.Get(name)
+		if !ok {
+			t.Fatalf("recorded suite is missing kernel %q", name)
+		}
+		dm, err := trace.NewDSEMeter(designs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := trace.NewCorrMeter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		am, err := trace.NewApproxMeter(approxDesigns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Replay(rec, dm, cm, am); err != nil {
+			t.Fatal(err)
+		}
+		for j, d := range designs {
+			r, err := dm.MissRate(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			miss[j] = append(miss[j], r)
+		}
+		row := Fig3Row{Kernel: name}
+		for j, d := range trace.Fig3Designs {
+			r, err := cm.RawRate(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.Rates[j], row.Samples[j] = r.Value(), r.Total
+			agg[j].Merge(r)
+		}
+		fig3 = append(fig3, row)
+		for j, d := range approxDesigns {
+			wr, err := am.WrongRate(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := am.MeanRelError(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrongSum[j] += wr
+			relErrSum[j] += re
+		}
+	}
+	wantF5 := make([]Fig5Row, len(designs))
+	for j, d := range designs {
+		wantF5[j] = Fig5Row{Design: d, MissRate: stats.Mean(miss[j])}
+	}
+	avg := Fig3Row{Kernel: "Average"}
+	for j := range agg {
+		avg.Rates[j], avg.Samples[j] = agg[j].Value(), agg[j].Total
+	}
+	wantF3 := append(fig3, avg)
+	nk := float64(len(names))
+	wantApprox := make([]ApproxRow, len(approxDesigns))
+	for j, d := range approxDesigns {
+		wantApprox[j] = ApproxRow{Design: d, WrongResults: wrongSum[j] / nk, MeanRelError: relErrSum[j] / nk}
+	}
+
+	f5, err := Fig5FromDecoded(cfg, suite.dec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Fig3(cfg)
+	if !reflect.DeepEqual(f5, wantF5) {
+		t.Errorf("Fig5 grid rows differ from meter replay:\n got %+v\nwant %+v", f5, wantF5)
+	}
+	f3, err := Fig3FromDecoded(cfg, suite.dec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("Fig3 replay rows differ from live-tracer rows")
+	if !reflect.DeepEqual(f3, wantF3) {
+		t.Errorf("Fig3 grid rows differ from meter replay:\n got %+v\nwant %+v", f3, wantF3)
+	}
+	ax, err := approxFromDecoded(cfg, suite.dec, approxDesigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ax, wantApprox) {
+		t.Errorf("approximate-adder grid rows differ from meter replay:\n got %+v\nwant %+v", ax, wantApprox)
 	}
 }
 
-func TestFig5ReplayMatchesLive(t *testing.T) {
+// TestSweepFromSetFile pins the reuse-a-capture path: the recorded
+// suite survives a round trip through the set file format, decodes to
+// the same rows, and refuses to answer for a configuration it was not
+// captured under.
+func TestSweepFromSetFile(t *testing.T) {
 	cfg := Default()
-	live, err := Fig5Live(cfg, nil) // full 12-design space
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Fig5(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("Fig5 replay rows differ from live-tracer rows")
-	}
-
-	// The same recordings answer the sweep from a file: capture the
-	// suite once, roundtrip it through the set format, and require the
-	// file-fed sweep to reproduce the live rates bit for bit.
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(set.Names()); got != len(kernels.Suite()) {
+	suite := suiteStore(t)
+	if got := len(suite.set.Names()); got != len(kernels.Suite()) {
 		t.Fatalf("RecordSuite captured %d kernels, want %d", got, len(kernels.Suite()))
 	}
 	path := filepath.Join(t.TempDir(), "suite.st2rec")
-	if err := set.WriteFile(path); err != nil {
+	if err := suite.set.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := trace.ReadSetFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSet, err := Fig5FromSet(cfg, loaded, nil)
+	dec, err := trace.DecodeSet(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live, fromSet) {
-		t.Error("Fig5FromSet rows differ from live-tracer rows after a file roundtrip")
-	}
-
-	// Fig3 from the same capture — one recording feeds every meter.
-	live3, err := Fig3Live(cfg)
+	want, err := Fig5FromDecoded(cfg, suite.dec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSet3, err := Fig3FromSet(cfg, loaded)
+	got, err := Fig5FromDecoded(cfg, dec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live3, fromSet3) {
-		t.Error("Fig3FromSet rows differ from live-tracer rows")
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Fig5 rows from a set-file round trip differ from the in-memory capture")
+	}
+	want3, err := Fig3FromDecoded(cfg, suite.dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got3, err := Fig3FromDecoded(cfg, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got3, want3) {
+		t.Error("Fig3 rows from a set-file round trip differ from the in-memory capture")
 	}
 
 	// A set captured under one configuration must refuse to answer for
 	// another: replaying it would silently produce wrong-config rates.
 	bad := cfg
 	bad.Scale = cfg.Scale + 1
-	if _, err := Fig5FromSet(bad, loaded, nil); err == nil {
-		t.Error("Fig5FromSet accepted a set recorded at a different scale")
+	if _, err := Fig5FromDecoded(bad, dec, nil); err == nil {
+		t.Error("Fig5FromDecoded accepted a set recorded at a different scale")
 	}
 	bad = cfg
 	bad.NumSMs = cfg.NumSMs + 1
-	if _, err := Fig3FromSet(bad, loaded); err == nil {
-		t.Error("Fig3FromSet accepted a set recorded with a different SM count")
-	}
-}
-
-func TestApproximateAdderStudyReplayMatchesLive(t *testing.T) {
-	cfg := Default()
-	live, err := ApproximateAdderStudyLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ApproximateAdderStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("approximate-adder replay rows differ from live-tracer rows")
+	if _, err := Fig3FromDecoded(bad, dec); err == nil {
+		t.Error("Fig3FromDecoded accepted a set recorded with a different SM count")
 	}
 }
 

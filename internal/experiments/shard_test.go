@@ -38,22 +38,28 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// suiteStoreState caches the recorded suite store across shard tests —
+// suiteStoreState caches the recorded suite across the package's tests —
 // recording 23 kernels is the expensive part, and every test wants the
 // same scale-1 capture.
 var suiteStoreState struct {
-	mu   sync.Mutex
-	once sync.Once
-	dir  string
-	path string
-	dec  *trace.Decoded
-	err  error
+	mu    sync.Mutex
+	once  sync.Once
+	dir   string
+	suite recordedSuite
+	err   error
 }
 
-// suiteStore records the suite under Default(), persists it as a store
-// file, and returns the path plus the in-memory decoded set the
-// in-process comparators run on.
-func suiteStore(t *testing.T) (string, *trace.Decoded) {
+// recordedSuite is the shared Default() capture in each of its forms.
+// Tests must treat all of it as read-only.
+type recordedSuite struct {
+	set  *trace.Set     // the recording set
+	dec  *trace.Decoded // its decoded form, the in-process sweeps' input
+	path string         // dec persisted as a store file, for shard workers
+}
+
+// suiteStore records the suite under Default() once per test binary,
+// decodes it and persists it as a store file.
+func suiteStore(t *testing.T) recordedSuite {
 	t.Helper()
 	s := &suiteStoreState
 	s.once.Do(func() {
@@ -78,13 +84,13 @@ func suiteStore(t *testing.T) (string, *trace.Decoded) {
 			return
 		}
 		s.mu.Lock()
-		s.dir, s.path, s.dec = dir, path, dec
+		s.dir, s.suite = dir, recordedSuite{set: set, dec: dec, path: path}
 		s.mu.Unlock()
 	})
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
-	return s.path, s.dec
+	return s.suite
 }
 
 // spawnTestWorkers launches n real worker subprocesses by re-execing
@@ -108,13 +114,13 @@ func spawnTestWorkers(t *testing.T, n int) []*ShardConn {
 // × sweep-worker counts (the inflight cap that also sets the batch
 // partition).
 func TestShardedSweepMatchesInProcess(t *testing.T) {
-	storePath, dec := suiteStore(t)
+	suite := suiteStore(t)
 	cfg := Default()
-	wantF5, err := Fig5FromDecoded(cfg, dec, nil)
+	wantF5, err := Fig5FromDecoded(cfg, suite.dec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantF3, err := Fig3FromDecoded(cfg, dec)
+	wantF3, err := Fig3FromDecoded(cfg, suite.dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestShardedSweepMatchesInProcess(t *testing.T) {
 				c := cfg
 				c.SweepWorkers = workers
 				conns := spawnTestWorkers(t, shards)
-				gotF5, err := Fig5Sharded(c, storePath, nil, conns, ShardOptions{})
+				gotF5, err := Fig5Sharded(c, suite.path, nil, conns, ShardOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +138,7 @@ func TestShardedSweepMatchesInProcess(t *testing.T) {
 					t.Errorf("sharded Fig5 rows differ from in-process:\n got %+v\nwant %+v", gotF5, wantF5)
 				}
 				conns = spawnTestWorkers(t, shards)
-				gotF3, err := Fig3Sharded(c, storePath, conns, ShardOptions{})
+				gotF3, err := Fig3Sharded(c, suite.path, conns, ShardOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,10 +175,10 @@ func (k *killAfterResults) Read(p []byte) (int, error) {
 // times the coordinator requeues onto the survivor and the rows stay
 // bit-identical to the in-process sweep.
 func TestShardedSweepSurvivesWorkerKill(t *testing.T) {
-	storePath, dec := suiteStore(t)
+	suite := suiteStore(t)
 	cfg := Default()
 	cfg.SweepWorkers = 2
-	want, err := Fig5FromDecoded(cfg, dec, nil)
+	want, err := Fig5FromDecoded(cfg, suite.dec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +187,7 @@ func TestShardedSweepSurvivesWorkerKill(t *testing.T) {
 		conns := spawnTestWorkers(t, 2)
 		victim := conns[0]
 		victim.R = &killAfterResults{r: victim.R, remaining: 3, kill: func() { victim.Close() }}
-		got, err := Fig5Sharded(cfg, storePath, nil, conns, ShardOptions{})
+		got, err := Fig5Sharded(cfg, suite.path, nil, conns, ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +199,7 @@ func TestShardedSweepSurvivesWorkerKill(t *testing.T) {
 	t.Run("before-handshake", func(t *testing.T) {
 		conns := spawnTestWorkers(t, 2)
 		conns[0].Close()
-		got, err := Fig5Sharded(cfg, storePath, nil, conns, ShardOptions{})
+		got, err := Fig5Sharded(cfg, suite.path, nil, conns, ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +247,7 @@ func fakeWorker(t *testing.T, reply func(m shardMsg) shardMsg) *ShardConn {
 // worker fails every cell, so once a cell burns MaxAttempts the sweep
 // errors naming the cell instead of spinning forever.
 func TestShardedSweepRetryExhausted(t *testing.T) {
-	storePath, _ := suiteStore(t)
+	storePath := suiteStore(t).path
 	cfg := Default()
 	cfg.SweepWorkers = 1
 	alwaysFail := func(m shardMsg) shardMsg {
@@ -260,7 +266,7 @@ func TestShardedSweepRetryExhausted(t *testing.T) {
 // TestShardedSweepAllWorkersDead covers the other loud-failure path:
 // every connection dies with cells outstanding.
 func TestShardedSweepAllWorkersDead(t *testing.T) {
-	storePath, _ := suiteStore(t)
+	storePath := suiteStore(t).path
 	cfg := Default()
 	cfg.SweepWorkers = 1
 	conns := spawnTestWorkers(t, 2)

@@ -186,14 +186,14 @@ func designBatches(workers, nk, nd int) [][2]int {
 }
 
 // foldBatches scatters per-cell batched results back into the flat
-// (kernel × design) rate grid, in fixed order.
-func foldBatches(rates []stats.Rate, cells [][]stats.Rate, batches [][2]int, nk, nd int) {
+// (kernel × design) grid, in fixed order.
+func foldBatches[R any](out []R, cells [][]R, batches [][2]int, nk, nd int) {
 	nb := len(batches)
 	for i := 0; i < nk; i++ {
 		for b := 0; b < nb; b++ {
 			lo := batches[b][0]
 			for x, r := range cells[i*nb+b] {
-				rates[i*nd+lo+x] = r
+				out[i*nd+lo+x] = r
 			}
 		}
 	}
@@ -243,144 +243,96 @@ func foldFig3Rows(names []string, rates []stats.Rate) []Fig3Row {
 
 // suiteKernels resolves every suite kernel in the decoded set, in suite
 // order — the fixed fold order of every grid below.
-func suiteKernels(dec *trace.Decoded) ([]kernels.Workload, []*trace.DecodedKernel, error) {
-	ws := kernels.Suite()
-	ks := make([]*trace.DecodedKernel, len(ws))
-	for i, w := range ws {
-		k, ok := dec.Kernel(w.Name)
+func suiteKernels(dec *trace.Decoded) ([]string, []*trace.DecodedKernel, error) {
+	names := kernels.Names()
+	ks := make([]*trace.DecodedKernel, len(names))
+	for i, name := range names {
+		k, ok := dec.Kernel(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("experiments: recording set is missing kernel %q", w.Name)
+			return nil, nil, fmt.Errorf("experiments: recording set is missing kernel %q", name)
 		}
 		ks[i] = k
 	}
-	return ws, ks, nil
+	return names, ks, nil
 }
 
-// Fig5FromDecoded sweeps the design space over a decoded set: the
-// (kernel × design-batch) grid runs on cfg.SweepWorkers workers and each
-// cell is ONE array walk scoring its whole design batch — no varint
-// decoding, no simulation, operand loads amortized across designs. Rows
-// are bit-identical to Fig5/Fig5Live/Fig5FromSet at any worker count.
+// sweepGrid is the one (kernel × design-batch) grid behind every
+// predictor-only figure. It checks dec against cfg, runs one cell per
+// (suite kernel, batch) on cfg.SweepWorkers workers — each cell is ONE
+// array walk of its kernel scoring the batch's designs with eval — and
+// returns the suite's kernel names plus the flat kernel-major
+// (kernel × design) result grid. A nil batches partitions designs with
+// designBatches. grid names the observability span and metrics.
+func sweepGrid[R any](cfg Config, dec *trace.Decoded, grid string, designs []string, batches [][2]int,
+	eval func(*trace.DecodedKernel, []string) ([]R, error)) ([]string, []R, error) {
+	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
+		return nil, nil, err
+	}
+	names, ks, err := suiteKernels(dec)
+	if err != nil {
+		return nil, nil, err
+	}
+	nk, nd := len(ks), len(designs)
+	if batches == nil {
+		batches = designBatches(cfg.SweepWorkers, nk, nd)
+	}
+	nb := len(batches)
+	cells := make([][]R, nk*nb)
+	meter := cfg.newCellMeter(grid, nk*nb)
+	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
+		i, b := t/nb, t%nb
+		batch := designs[batches[b][0]:batches[b][1]]
+		done := meter.cell(w, names[i], len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
+		rs, err := eval(ks[i], batch)
+		done()
+		cells[t] = rs
+		return err
+	})
+	meter.close()
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]R, nk*nd)
+	foldBatches(out, cells, batches, nk, nd)
+	return names, out, nil
+}
+
+// Fig5FromDecoded sweeps the design space over a decoded set: every
+// cell of the grid scores its whole design batch in one array walk — no
+// varint decoding, no simulation, operand loads amortized across
+// designs. Rows are bit-identical at any cfg.SweepWorkers count.
 func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
 	}
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	names, rates, err := sweepGrid(cfg, dec, "fig5", designs, nil, (*trace.DecodedKernel).EvalMissBatch)
 	if err != nil {
 		return nil, err
 	}
-	nk, nd := len(ks), len(designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]stats.Rate, nk*nb)
-	meter := cfg.newCellMeter("fig5", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalMissBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	rates := make([]stats.Rate, nk*nd)
-	foldBatches(rates, cells, batches, nk, nd)
-	return foldFig5Rows(designs, rates, nk), nil
+	return foldFig5Rows(designs, rates, len(names)), nil
 }
 
 // Fig3FromDecoded runs the Figure 3 correlation analysis over a decoded
-// set with the (kernel × scheme-batch) grid on cfg.SweepWorkers workers.
-// Rows are bit-identical to Fig3/Fig3Live/Fig3FromSet at any worker count.
+// set on the sweep grid. Rows are bit-identical at any cfg.SweepWorkers
+// count.
 func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	names, rates, err := sweepGrid(cfg, dec, "fig3", trace.Fig3Designs[:], nil, (*trace.DecodedKernel).EvalCorrBatch)
 	if err != nil {
 		return nil, err
-	}
-	nk, nd := len(ks), len(trace.Fig3Designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]stats.Rate, nk*nb)
-	meter := cfg.newCellMeter("fig3", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := trace.Fig3Designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalCorrBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	rates := make([]stats.Rate, nk*nd)
-	foldBatches(rates, cells, batches, nk, nd)
-	names := make([]string, nk)
-	for i, w := range ws {
-		names[i] = w.Name
 	}
 	return foldFig3Rows(names, rates), nil
 }
 
 // approxFromDecoded is the decoded-grid form of the approximate-adder
-// study; rows are bit-identical to the meter-replay path.
+// study: per design, the unweighted kernel means of the wrong-result
+// rate and the mean relative error.
 func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]ApproxRow, error) {
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	names, res, err := sweepGrid(cfg, dec, "approx", designs, nil, (*trace.DecodedKernel).EvalApproxBatch)
 	if err != nil {
 		return nil, err
 	}
-	nk, nd := len(ks), len(designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]trace.ApproxResult, nk*nb)
-	meter := cfg.newCellMeter("approx", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalApproxBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	res := make([]trace.ApproxResult, nk*nd)
-	for i := 0; i < nk; i++ {
-		for b := 0; b < nb; b++ {
-			lo := batches[b][0]
-			for x, r := range cells[i*nb+b] {
-				res[i*nd+lo+x] = r
-			}
-		}
-	}
-	// Aggregate in suite order so the floating-point sums match the old
-	// sequential loop bit for bit.
+	// Sum in suite order: the float fold must not depend on the schedule.
+	nk, nd := len(names), len(designs)
 	out := make([]ApproxRow, nd)
 	for j, d := range designs {
 		var wrSum, reSum float64
@@ -398,47 +350,30 @@ func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Appr
 }
 
 // Fig5FromDecodedPerDesign is the unbatched decode-once baseline: the
-// (kernel × design) grid with one full array walk per design, exactly
-// the pre-batching sweep shape. Kept for the benchmark harness so the
-// batched kernel's amortization is measured against it; rows are
-// bit-identical to Fig5FromDecoded.
+// sweep grid with one design per batch, so every design costs a full
+// array walk. Kept for the benchmark harness so the batched kernel's
+// amortization is measured against it; rows are bit-identical to
+// Fig5FromDecoded.
 func Fig5FromDecodedPerDesign(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
 	}
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
+	single := make([][2]int, len(designs))
+	for j := range single {
+		single[j] = [2]int{j, j + 1}
 	}
-	ws, ks, err := suiteKernels(dec)
+	names, rates, err := sweepGrid(cfg, dec, "fig5_per_design", designs, single, (*trace.DecodedKernel).EvalMissBatch)
 	if err != nil {
 		return nil, err
 	}
-	nk, nd := len(ks), len(designs)
-	rates := make([]stats.Rate, nk*nd)
-	meter := cfg.newCellMeter("fig5_per_design", nk*nd)
-	err = runGrid(cfg.SweepWorkers, nk*nd, func(w, t int) error {
-		i, j := t/nd, t%nd
-		done := meter.cell(w, ws[i].Name, 1, uint64(ks[i].NumLanes()))
-		r, err := ks[i].EvalMiss(designs[j])
-		done()
-		if err != nil {
-			return err
-		}
-		rates[t] = r
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	return foldFig5Rows(designs, rates, nk), nil
+	return foldFig5Rows(designs, rates, len(names)), nil
 }
 
-// Fig5FromSetPerDesign is the PR-3-style per-design replay baseline,
-// kept for the decode-once benchmark: every design replays — and
-// therefore varint-decodes — the full recording set from scratch
-// (N designs cost N decodes). Rows are bit-identical to the decode-once
-// sweep; only the work distribution differs.
+// Fig5FromSetPerDesign is the per-design replay baseline, kept for the
+// decode-once benchmark: every design replays — and therefore
+// varint-decodes — every kernel's recording from scratch through a
+// one-design meter (N designs cost N decodes). Rows are bit-identical
+// to the decode-once sweep; only the work distribution differs.
 func Fig5FromSetPerDesign(cfg Config, set *trace.Set, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
@@ -446,13 +381,28 @@ func Fig5FromSetPerDesign(cfg Config, set *trace.Set, designs []string) ([]Fig5R
 	if err := set.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
 		return nil, err
 	}
-	out := make([]Fig5Row, 0, len(designs))
-	for _, d := range designs {
-		rows, err := fig5(cfg, []string{d}, feedFromSet(set))
+	out := make([]Fig5Row, len(designs))
+	rates := make([]float64, len(kernels.Suite()))
+	for j, d := range designs {
+		err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
+			rec, ok := set.Get(w.Name)
+			if !ok {
+				return fmt.Errorf("experiments: recording set is missing kernel %q", w.Name)
+			}
+			meter, err := trace.NewDSEMeter([]string{d})
+			if err != nil {
+				return err
+			}
+			if err := trace.Replay(rec, meter); err != nil {
+				return err
+			}
+			rates[i], err = meter.MissRate(d)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows[0])
+		out[j] = Fig5Row{Design: d, MissRate: stats.Mean(rates)}
 	}
 	return out, nil
 }

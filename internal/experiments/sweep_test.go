@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"st2gpu/internal/speculate"
 	"st2gpu/internal/trace"
 )
 
@@ -17,14 +16,8 @@ import (
 // decoded arrays are treated as read-only by concurrent evaluations.
 func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	cfg := Default()
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := suiteStore(t)
+	dec := suite.dec
 
 	var fig5Rows [][]Fig5Row
 	var fig3Rows [][]Fig3Row
@@ -42,7 +35,7 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		fig3Rows = append(fig3Rows, f3)
-		ax, err := approxFromDecoded(c, dec, []string{"staticZero", "CASA", speculate.FinalDesign})
+		ax, err := approxFromDecoded(c, dec, approxDesigns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +55,7 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 
 	// The decode-once grid must agree with the per-design replay baseline
 	// bit for bit — it is the same analysis, minus the redundant decodes.
-	perDesign, err := Fig5FromSetPerDesign(cfg, set, nil)
+	perDesign, err := Fig5FromSetPerDesign(cfg, suite.set, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +112,11 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	if _, err := Fig5FromDecoded(bad, dec, nil); err == nil {
 		t.Error("Fig5FromDecoded accepted a decoded set with a different seed")
 	}
-	partial := trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed)
-	if _, err := Fig5FromSet(cfg, partial, nil); err == nil {
-		t.Error("Fig5FromSet accepted a set missing every suite kernel")
+	empty, err := trace.DecodeSet(trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig5FromDecoded(cfg, empty, nil); err == nil {
+		t.Error("Fig5FromDecoded accepted a set missing every suite kernel")
 	}
 }

@@ -23,16 +23,16 @@ type warp struct {
 	tidBase  uint32 // block-local thread id of lane 0
 	nLanes   int    // threads actually populated (last warp may be partial)
 
-	pc     [32]int32 // per-thread next instruction; -1 = exited
-	minpc  int32     // cached min over live pc lanes; see refreshMinPC
+	pc    [32]int32 // per-thread next instruction; -1 = exited
+	minpc int32     // cached min over live pc lanes; see refreshMinPC
 	// lanes marks the threads that have not exited. converged, when set,
 	// says every one of them is at minpc, so executeStep needs no lane
 	// scan; clear means "unknown" and the next step scans.
 	lanes     uint32
 	converged bool
-	regs   []uint64  // flat: reg*32 + lane
-	preds  []bool    // flat: pred*32 + lane
-	shared []byte    // block shared memory (shared with sibling warps)
+	regs      []uint64 // flat: reg*32 + lane
+	preds     []bool   // flat: pred*32 + lane
+	shared    []byte   // block shared memory (shared with sibling warps)
 
 	// Scheduling state.
 	regReady  []uint64 // scoreboard: cycle each data register becomes readable

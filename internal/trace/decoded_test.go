@@ -9,6 +9,7 @@ import (
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
+	"st2gpu/internal/stats"
 )
 
 // recordPathfinder captures a real pathfinder run into a one-kernel Set.
@@ -54,10 +55,12 @@ func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *
 	c.ops = append(c.ops, *ops)
 }
 
-// TestDecodedEvalMatchesMeterReplay pins the tentpole guarantee: every
-// decoded evaluation (miss, correlation, approx) is bit-identical to
-// replaying the recording through the corresponding live meter, for a
-// real kernel stream.
+// TestDecodedEvalMatchesMeterReplay pins the batch kernels against the
+// streaming meters, which apply the full Peek composition per design
+// where the batch hoists it: for every evaluation mode, each design's
+// result — from one batch mixing Peek and non-Peek designs, and from a
+// batch of its own — is bit-identical to replaying the recording through
+// the matching meter, for a real kernel stream.
 func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	set := recordPathfinder(t)
 	dec, err := DecodeSet(set)
@@ -81,16 +84,10 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, meter); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range designs {
-		want, _ := meter.Rate(d)
-		got, err := k.EvalMiss(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("EvalMiss(%q) = %+v, meter replay = %+v", d, got, want)
-		}
-	}
+	matchesMeter(t, "EvalMissBatch", designs, k.EvalMissBatch, func(d string) stats.Rate {
+		r, _ := meter.Rate(d)
+		return r
+	})
 
 	cm, err := NewCorrMeter()
 	if err != nil {
@@ -99,16 +96,10 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, cm); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Fig3Designs {
-		want, _ := cm.RawRate(d)
-		got, err := k.EvalCorr(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("EvalCorr(%q) = %+v, meter replay = %+v", d, got, want)
-		}
-	}
+	matchesMeter(t, "EvalCorrBatch", Fig3Designs[:], k.EvalCorrBatch, func(d string) stats.Rate {
+		r, _ := cm.RawRate(d)
+		return r
+	})
 
 	approxDesigns := []string{"staticZero", "CASA", speculate.FinalDesign}
 	am, err := NewApproxMeter(approxDesigns)
@@ -118,27 +109,29 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, am); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range approxDesigns {
-		wantWrong, _ := am.WrongRate(d)
-		wantRE, _ := am.MeanRelError(d)
-		got, err := k.EvalApprox(d)
+	matchesMeter(t, "EvalApproxBatch", approxDesigns, k.EvalApproxBatch, func(d string) ApproxResult {
+		re := am.relErr[d]
+		return ApproxResult{Wrong: *am.wrong[d], MeanRelErr: re.mean(), WrongErrSum: re.sum}
+	})
+}
+
+// matchesMeter requires every design's result from one batch of all
+// designs, and from a batch of its own, to equal the meter replay's.
+func matchesMeter[R comparable](t *testing.T, name string, designs []string,
+	eval func([]string) ([]R, error), want func(design string) R) {
+	t.Helper()
+	all, err := eval(designs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range designs {
+		one, err := eval([]string{d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Wrong.Value() != wantWrong || got.MeanRelErr != wantRE {
-			t.Errorf("EvalApprox(%q) = (%v, %v), meter replay = (%v, %v)",
-				d, got.Wrong.Value(), got.MeanRelErr, wantWrong, wantRE)
+		if w := want(d); all[i] != w || one[0] != w {
+			t.Errorf("%s(%q): batch %+v, batch of one %+v, meter replay %+v", name, d, all[i], one[0], w)
 		}
-	}
-
-	if _, err := k.EvalMiss("bogus"); err == nil {
-		t.Error("EvalMiss should reject unknown designs")
-	}
-	if _, err := k.EvalCorr("bogus"); err == nil {
-		t.Error("EvalCorr should reject unknown designs")
-	}
-	if _, err := k.EvalApprox("bogus"); err == nil {
-		t.Error("EvalApprox should reject unknown designs")
 	}
 }
 

@@ -96,9 +96,9 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 		subsets := [][]string{
 			{names[0]},
 			{names[2]},
-			{names[2], names[0]},               // reversed request order
-			{names[1], names[1], names[2]},     // duplicate request
-			{names[2], names[1], names[0]},     // full suite, reversed
+			{names[2], names[0]},           // reversed request order
+			{names[1], names[1], names[2]}, // duplicate request
+			{names[2], names[1], names[0]}, // full suite, reversed
 		}
 		for _, workers := range []int{1, 2, 8} {
 			for _, req := range subsets {

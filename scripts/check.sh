@@ -6,6 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go vet ./...
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 
 # st2lint enforces the determinism and shard-ownership invariants
 # (DESIGN.md §11) plus the concurrency-safety and wire-taint invariants
@@ -30,6 +31,10 @@ go test -race -count=1 -run TestSweepBitIdenticalAcrossWorkers ./internal/experi
 # the coordinator/worker protocol and the lease/requeue machinery.
 go test -race -count=1 -run 'TestShardedSweepMatchesInProcess|TestShardedSweepSurvivesWorkerKill' ./internal/experiments
 
-# Short fuzz pass over the recording decoder: seeds plus a few seconds
-# of mutation must never panic, over-allocate, or round-trip unstably.
+# Short fuzz pass (the three `make fuzz-smoke` targets): seeds plus a
+# few seconds of mutation must never panic, over-allocate, or
+# round-trip unstably in the recording and decoded-store readers, and
+# the word-parallel adder must match its slice-loop oracle.
 go test -run='^$' -fuzz=FuzzReadRecording -fuzztime=5s ./internal/gpusim
+go test -run='^$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
+go test -run='^$' -fuzz=FuzzSlicedAdderAgainstSliceLoop -fuzztime=5s ./internal/adder
