@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"st2gpu/internal/gpusim"
@@ -13,15 +14,43 @@ import (
 	"st2gpu/internal/trace"
 )
 
-// TestSuiteRowsMatchMeterReplay is the suite-level oracle of every
-// predictor-only figure: each recording of the recorded suite is
-// replayed through the streaming meters (DSEMeter, CorrMeter and
-// ApproxMeter, which compose Peek per design instead of hoisting it),
-// the per-kernel results are folded here in suite order, and the rows
-// must deep-equal what the sweep grid computes from the decoded set.
-func TestSuiteRowsMatchMeterReplay(t *testing.T) {
-	cfg := Default()
-	suite := suiteStore(t)
+// These tests pin the record-once/replay-many contract at the driver
+// level: the rows the sweep grid computes from the decoded recorded
+// suite must equal the rows folded from the streaming meters — fed by
+// replaying each recording, and fed live by a tracer on a fresh
+// simulation of the suite — for the full suite at scale 1.
+
+// suiteMeters are the streaming meters of one kernel. They compose Peek
+// per design instead of hoisting it, so they are an independent oracle
+// for the batch kernels behind the sweep grid.
+type suiteMeters struct {
+	dm *trace.DSEMeter
+	cm *trace.CorrMeter
+	am *trace.ApproxMeter
+}
+
+func newSuiteMeters() (suiteMeters, error) {
+	dm, err := trace.NewDSEMeter(speculate.DesignSpace)
+	if err != nil {
+		return suiteMeters{}, err
+	}
+	cm, err := trace.NewCorrMeter()
+	if err != nil {
+		return suiteMeters{}, err
+	}
+	am, err := trace.NewApproxMeter(approxDesigns)
+	if err != nil {
+		return suiteMeters{}, err
+	}
+	return suiteMeters{dm, cm, am}, nil
+}
+
+func (m suiteMeters) tracer() gpusim.AddTracer { return trace.Multi{m.dm, m.cm, m.am} }
+
+// meterRows folds per-kernel meters, in suite order, into the Fig 5,
+// Fig 3 and approximate-adder rows.
+func meterRows(t *testing.T, meters []suiteMeters) ([]Fig5Row, []Fig3Row, []ApproxRow) {
+	t.Helper()
 	designs := speculate.DesignSpace
 	names := kernels.Names()
 	miss := make([][]float64, len(designs)) // [design][kernel]
@@ -29,28 +58,10 @@ func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 	var agg [3]stats.Rate
 	wrongSum := make([]float64, len(approxDesigns))
 	relErrSum := make([]float64, len(approxDesigns))
-	for _, name := range names {
-		rec, ok := suite.set.Get(name)
-		if !ok {
-			t.Fatalf("recorded suite is missing kernel %q", name)
-		}
-		dm, err := trace.NewDSEMeter(designs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cm, err := trace.NewCorrMeter()
-		if err != nil {
-			t.Fatal(err)
-		}
-		am, err := trace.NewApproxMeter(approxDesigns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.Replay(rec, dm, cm, am); err != nil {
-			t.Fatal(err)
-		}
+	for i, name := range names {
+		m := meters[i]
 		for j, d := range designs {
-			r, err := dm.MissRate(d)
+			r, err := m.dm.MissRate(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +69,7 @@ func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 		}
 		row := Fig3Row{Kernel: name}
 		for j, d := range trace.Fig3Designs {
-			r, err := cm.RawRate(d)
+			r, err := m.cm.RawRate(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,11 +78,11 @@ func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 		}
 		fig3 = append(fig3, row)
 		for j, d := range approxDesigns {
-			wr, err := am.WrongRate(d)
+			wr, err := m.am.WrongRate(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := am.MeanRelError(d)
+			re, err := m.am.MeanRelError(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,20 +90,87 @@ func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 			relErrSum[j] += re
 		}
 	}
-	wantF5 := make([]Fig5Row, len(designs))
+	f5 := make([]Fig5Row, len(designs))
 	for j, d := range designs {
-		wantF5[j] = Fig5Row{Design: d, MissRate: stats.Mean(miss[j])}
+		f5[j] = Fig5Row{Design: d, MissRate: stats.Mean(miss[j])}
 	}
 	avg := Fig3Row{Kernel: "Average"}
 	for j := range agg {
 		avg.Rates[j], avg.Samples[j] = agg[j].Value(), agg[j].Total
 	}
-	wantF3 := append(fig3, avg)
+	f3 := append(fig3, avg)
 	nk := float64(len(names))
-	wantApprox := make([]ApproxRow, len(approxDesigns))
+	approx := make([]ApproxRow, len(approxDesigns))
 	for j, d := range approxDesigns {
-		wantApprox[j] = ApproxRow{Design: d, WrongResults: wrongSum[j] / nk, MeanRelError: relErrSum[j] / nk}
+		approx[j] = ApproxRow{Design: d, WrongResults: wrongSum[j] / nk, MeanRelError: relErrSum[j] / nk}
 	}
+	return f5, f3, approx
+}
+
+// liveMetersState caches the live-tracer run of the suite across the
+// package's tests.
+var liveMetersState struct {
+	once   sync.Once
+	meters []suiteMeters
+	err    error
+}
+
+// liveSuiteMeters simulates the suite under Default() once per test
+// binary with the meters installed as a live tracer — no recording in
+// the loop — and returns them in suite order.
+func liveSuiteMeters(t *testing.T) []suiteMeters {
+	t.Helper()
+	s := &liveMetersState
+	s.once.Do(func() {
+		cfg := Default()
+		meters := make([]suiteMeters, len(kernels.Suite()))
+		s.err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
+			m, err := newSuiteMeters()
+			if err != nil {
+				return err
+			}
+			spec, err := w.Build(cfg.Scale)
+			if err != nil {
+				return err
+			}
+			if _, _, err := cfg.runSpec(spec, gpusim.BaselineAdders, m.tracer()); err != nil {
+				return err
+			}
+			meters[i] = m
+			return nil
+		})
+		s.meters = meters
+	})
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.meters
+}
+
+// TestSuiteRowsMatchMeterReplay is the suite-level oracle of every
+// predictor-only figure: each recording of the recorded suite is
+// replayed through the streaming meters, the per-kernel results are
+// folded here in suite order, and the rows must deep-equal what the
+// sweep grid computes from the decoded set.
+func TestSuiteRowsMatchMeterReplay(t *testing.T) {
+	cfg := Default()
+	suite := suiteStore(t)
+	var meters []suiteMeters
+	for _, name := range kernels.Names() {
+		rec, ok := suite.set.Get(name)
+		if !ok {
+			t.Fatalf("recorded suite is missing kernel %q", name)
+		}
+		m, err := newSuiteMeters()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Replay(rec, m.dm, m.cm, m.am); err != nil {
+			t.Fatal(err)
+		}
+		meters = append(meters, m)
+	}
+	wantF5, wantF3, wantApprox := meterRows(t, meters)
 
 	f5, err := Fig5FromDecoded(cfg, suite.dec, nil)
 	if err != nil {
@@ -114,6 +192,39 @@ func TestSuiteRowsMatchMeterReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ax, wantApprox) {
 		t.Errorf("approximate-adder grid rows differ from meter replay:\n got %+v\nwant %+v", ax, wantApprox)
+	}
+}
+
+func TestFig3ReplayMatchesLive(t *testing.T) {
+	_, live, _ := meterRows(t, liveSuiteMeters(t))
+	replayed, err := Fig3FromDecoded(Default(), suiteStore(t).dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Errorf("Fig3 replay rows differ from live-tracer rows:\n got %+v\nwant %+v", replayed, live)
+	}
+}
+
+func TestFig5ReplayMatchesLive(t *testing.T) {
+	live, _, _ := meterRows(t, liveSuiteMeters(t))
+	replayed, err := Fig5FromDecoded(Default(), suiteStore(t).dec, nil) // full 12-design space
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Errorf("Fig5 replay rows differ from live-tracer rows:\n got %+v\nwant %+v", replayed, live)
+	}
+}
+
+func TestApproximateAdderStudyReplayMatchesLive(t *testing.T) {
+	_, _, live := meterRows(t, liveSuiteMeters(t))
+	replayed, err := approxFromDecoded(Default(), suiteStore(t).dec, approxDesigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Errorf("approximate-adder replay rows differ from live-tracer rows:\n got %+v\nwant %+v", replayed, live)
 	}
 }
 

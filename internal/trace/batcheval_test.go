@@ -10,6 +10,46 @@ import (
 	"st2gpu/internal/stats"
 )
 
+// TestBatchEvalMatchesPerDesign pins the design-batched kernels'
+// guarantee: for every evaluation mode, result i of the one-pass batch
+// is bit-identical to evaluating designs[i] in a batch of its own,
+// including when Peek designs (whose per-record Peek computation the
+// batch hoists and shares) sit in the same batch as non-Peek ones.
+func TestBatchEvalMatchesPerDesign(t *testing.T) {
+	set := recordPathfinder(t)
+	dec, err := DecodeSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := dec.Kernel("pathfinder")
+	if !ok {
+		t.Fatal("missing decoded kernel")
+	}
+	designs := append(append([]string(nil), speculate.DesignSpace...), "oracle")
+	matchesPerDesign(t, "EvalMissBatch", designs, k.EvalMissBatch)
+	matchesPerDesign(t, "EvalCorrBatch", Fig3Designs[:], k.EvalCorrBatch)
+	matchesPerDesign(t, "EvalApproxBatch", []string{"staticZero", "CASA", speculate.FinalDesign}, k.EvalApproxBatch)
+}
+
+// matchesPerDesign requires every design's result from one batch of all
+// designs to equal its result from a batch of one.
+func matchesPerDesign[R comparable](t *testing.T, name string, designs []string, eval func([]string) ([]R, error)) {
+	t.Helper()
+	all, err := eval(designs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range designs {
+		one, err := eval([]string{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all[i] != one[0] {
+			t.Errorf("%s: batch[%s] = %+v, batch of one = %+v", name, d, all[i], one[0])
+		}
+	}
+}
+
 // TestBatchEvalBatchCompositionIrrelevant pins the sweep engine's
 // scheduling freedom: a design's counters don't depend on which batch it
 // lands in (per-design predictor state is independent), so any
