@@ -437,3 +437,33 @@ func TestFPUSpeculationOnCorrelatedStream(t *testing.T) {
 		t.Errorf("FPU misprediction rate %.3f too high on correlated stream", rate)
 	}
 }
+
+// A 64-bit unit with 1-bit slices has 63 boundaries; the per-lane
+// boundary counts must cover all of them, not only the low 32.
+func TestBoundaryCountsAbove32Boundaries(t *testing.T) {
+	p, err := DeriveEnergyParams(circuit.SAED90(), 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnit(ALU, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := u.Geometry()
+	if nb := g.Boundaries(); nb != 63 {
+		t.Fatalf("64-bit unit with 1-bit slices has %d boundaries, want 63", nb)
+	}
+	lanes := fullWarp(adder.Add, func(int) (uint64, uint64) { return 0, 0 })
+	res := u.ExecuteWarp(&PredictorSpeculator{P: speculate.WithPeek(g, speculate.NewStaticZero(g))}, 0, 0, &lanes)
+	if want := 63 * WarpSize; res.StaticBoundaries != want || res.DynamicBoundaries != 0 {
+		t.Errorf("all-zero operands under Peek: %d static / %d dynamic boundaries, want %d / 0",
+			res.StaticBoundaries, res.DynamicBoundaries, want)
+	}
+	// Both operands all ones: every 1-bit slice generates a carry, so a
+	// static-zero prediction is wrong at every boundary on cycle 1.
+	lanes = fullWarp(adder.Add, func(int) (uint64, uint64) { return ^uint64(0), ^uint64(0) })
+	res = u.ExecuteWarp(&PredictorSpeculator{P: speculate.NewStaticZero(g)}, 0, 0, &lanes)
+	if want := 63 * WarpSize; res.WrongBoundaries != want {
+		t.Errorf("generate chain under staticZero: %d wrong boundaries, want %d", res.WrongBoundaries, want)
+	}
+}

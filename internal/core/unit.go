@@ -241,10 +241,10 @@ func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSiz
 		res.SliceComputations += int(u.price.NumSlices) + r.Recomputed
 		res.RecomputedSlices += r.Recomputed
 
-		staticBits := bits.OnesCount32(uint32(preds[l].Static))
+		staticBits := bits.OnesCount64(preds[l].Static)
 		res.StaticBoundaries += staticBits
 		res.DynamicBoundaries += nb - staticBits
-		res.WrongBoundaries += bits.OnesCount32(uint32(r.ErrorSlices &^ preds[l].Static))
+		res.WrongBoundaries += bits.OnesCount64(r.ErrorSlices &^ preds[l].Static)
 
 		if r.Mispredicted {
 			mispred |= 1 << l
@@ -368,38 +368,45 @@ func (c *CRFSpeculator) UpdateWarp(pc, _ uint32, _, mispred uint32, actual *[War
 }
 
 // PredictorSpeculator adapts a trace-level speculate.Predictor (any Fig 5
-// design point) to the warp interface; used by the design-space sweeps.
+// design point) to the dense warp interface; used by the design-space
+// sweeps. Each call compacts the active lanes and makes one warp call.
 type PredictorSpeculator struct {
 	P speculate.Predictor
+
+	// The active lanes of the warp op in flight, compacted in ascending
+	// lane order: PredictWarp fills them and the UpdateWarp that
+	// Unit.ExecuteWarp issues next for the same op reuses the operands.
+	cin                             uint32
+	ea, eb, carries, static, actual [WarpSize]uint64
 }
 
 // PredictWarp implements Speculator.
 func (p *PredictorSpeculator) PredictWarp(pc, gtidBase uint32, lanes *[WarpSize]LaneOp, eff *[WarpSize]EffOperands, out *[WarpSize]speculate.Prediction) {
-	for l := 0; l < WarpSize; l++ {
-		if !lanes[l].Active {
-			continue
+	var active, cin uint32
+	n := 0
+	for l := range lanes {
+		if lanes[l].Active {
+			active |= 1 << l
+			cin |= uint32(eff[l].Cin0&1) << l
+			p.ea[n], p.eb[n] = eff[l].EA, eff[l].EB
+			n++
 		}
-		out[l] = p.P.Predict(speculate.Context{
-			PC:   pc,
-			Gtid: gtidBase + uint32(l),
-			Ltid: uint8(l),
-			EA:   eff[l].EA,
-			EB:   eff[l].EB,
-			Cin0: eff[l].Cin0,
-		})
+	}
+	p.cin = cin
+	p.P.PredictWarp(pc, gtidBase, active, cin, p.ea[:n], p.eb[:n], p.carries[:n], p.static[:n])
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		out[bits.TrailingZeros32(m)] = speculate.Prediction{Carries: p.carries[j], Static: p.static[j]}
+		j++
 	}
 }
 
-// UpdateWarp implements Speculator with per-thread updates.
+// UpdateWarp implements Speculator.
 func (p *PredictorSpeculator) UpdateWarp(pc, gtidBase uint32, active, mispred uint32, actual *[WarpSize]uint64) {
-	for l := 0; l < WarpSize; l++ {
-		if active&(1<<l) == 0 {
-			continue
-		}
-		p.P.Update(speculate.Context{
-			PC:   pc,
-			Gtid: gtidBase + uint32(l),
-			Ltid: uint8(l),
-		}, actual[l], mispred&(1<<l) != 0)
+	n := 0
+	for m := active; m != 0; m &= m - 1 {
+		p.actual[n] = actual[bits.TrailingZeros32(m)]
+		n++
 	}
+	p.P.UpdateWarp(pc, gtidBase, active, mispred, p.cin, p.ea[:n], p.eb[:n], p.actual[:n])
 }

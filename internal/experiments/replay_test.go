@@ -20,9 +20,10 @@ import (
 // replaying each recording, and fed live by a tracer on a fresh
 // simulation of the suite — for the full suite at scale 1.
 
-// suiteMeters are the streaming meters of one kernel. They compose Peek
-// per design instead of hoisting it, so they are an independent oracle
-// for the batch kernels behind the sweep grid.
+// suiteMeters are the streaming meters of one kernel. They run the same
+// eval steps as the batch kernels behind the sweep grid, on records
+// compacted from the dense tracer form, so these tests pin the decoded
+// form and the grid's folding against the live stream.
 type suiteMeters struct {
 	dm *trace.DSEMeter
 	cm *trace.CorrMeter

@@ -6,8 +6,8 @@ import (
 	"st2gpu/internal/bitmath"
 )
 
-// This file extends the WarpPredictor fast path from predictor lookup to
-// full evaluation: the judge (which lanes mispredicted, how many boundary
+// This file extends the warp form from predictor lookup to full
+// evaluation: the judge (which lanes mispredicted, how many boundary
 // bits matched) and the Peek overlay run as uint64 mask arithmetic over
 // all active lanes of a record, with no data-dependent branches in the
 // lane loops. The design-batched trace kernels call these once per record
@@ -33,7 +33,7 @@ func PeekBitsWarp(g Geometry, ea, eb, static, values []uint64) {
 }
 
 // OverlayPeek applies the Peek filter to each lane's dynamic prediction,
-// exactly as peekPredictor.Predict composes it: peek-resolved boundaries
+// exactly as peekPredictor.PredictWarp composes it: peek-resolved boundaries
 // take their known values and join the static set.
 func OverlayPeek(carries, static, pkStatic, pkValues []uint64) {
 	for j := range carries {

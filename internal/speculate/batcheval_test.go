@@ -224,14 +224,14 @@ func TestHistoryDenseMatchesMap(t *testing.T) {
 					EA:   rng.Uint64(), EB: rng.Uint64(),
 					Cin0: uint(rng.Intn(2)),
 				}
-				pd, ps := dense.Predict(ctx), sparse.Predict(ctx)
+				pd, ps := predictOne(dense, ctx), predictOne(sparse, ctx)
 				if pd != ps {
 					t.Fatalf("op %d: dense Predict %+v, map Predict %+v", i, pd, ps)
 				}
 				actual := rng.Uint64()
 				mis := rng.Intn(3) != 0
-				dense.Update(ctx, actual, mis)
-				sparse.Update(ctx, actual, mis)
+				updateOne(dense, ctx, actual, mis)
+				updateOne(sparse, ctx, actual, mis)
 				if dense.Entries() != sparse.Entries() {
 					t.Fatalf("op %d: dense Entries %d, map Entries %d", i, dense.Entries(), sparse.Entries())
 				}
@@ -240,7 +240,7 @@ func TestHistoryDenseMatchesMap(t *testing.T) {
 			if dense.Entries() != 0 {
 				t.Fatalf("Entries after Reset = %d", dense.Entries())
 			}
-			if dense.Predict(Context{}).Carries != 0 {
+			if predictOne(dense, Context{}).Carries != 0 {
 				t.Fatal("post-Reset prediction not cold")
 			}
 		})

@@ -271,45 +271,103 @@ func (h *History) gtidKey(pcPart uint64, gtid uint32) uint64 {
 	return pcPart<<32 | uint64(gtid)
 }
 
-func (h *History) key(ctx Context) uint64 {
-	var pcPart uint64
-	switch h.cfg.PCMode {
+// pcPart folds the PC into the table index's PC field, once per warp:
+// within a warp-synchronous op every lane shares the PC.
+func (c HistoryConfig) pcPart(pc uint32) uint64 {
+	switch c.PCMode {
 	case ModPC:
-		pcPart = uint64(ctx.PC) & bitmath.Mask(h.cfg.PCBits)
+		return uint64(pc) & bitmath.Mask(c.PCBits)
 	case FullPC:
-		pcPart = uint64(ctx.PC)
+		return uint64(pc)
 	case XorPC:
 		folded := uint64(0)
-		pc := uint64(ctx.PC)
-		for pc != 0 {
-			folded ^= pc & bitmath.Mask(h.cfg.PCBits)
-			pc >>= h.cfg.PCBits
+		p := uint64(pc)
+		for p != 0 {
+			folded ^= p & bitmath.Mask(c.PCBits)
+			p >>= c.PCBits
 		}
-		pcPart = folded
+		return folded
+	default:
+		return 0
 	}
+}
+
+// PredictWarp implements Predictor: the previous carries stored for each
+// lane's (PC, thread) bucket, zero when cold. The PC fold happens once
+// per warp and shared-thread tables perform a single lookup for all 32
+// lanes.
+func (h *History) PredictWarp(pc, gtidBase, active, _ uint32, _, _, carries, static []uint64) {
+	pcPart := h.cfg.pcPart(pc)
+	mask := h.cfg.Geometry.BoundaryMask()
 	switch h.cfg.Threads {
 	case ByLtid:
-		return pcPart<<5 | uint64(ctx.Ltid&31)
+		if h.dense != nil {
+			// Dense fast path: lane l's slot sits at pcPart<<5|l — 32
+			// consecutive array loads, no hashing.
+			row := h.dense[pcPart<<5 : pcPart<<5+32]
+			j := 0
+			for m := active; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				carries[j] = row[l] & mask
+				static[j] = 0
+				j++
+			}
+			return
+		}
+		j := 0
+		for m := active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			carries[j] = h.load(pcPart<<5|uint64(l)) & mask
+			static[j] = 0
+			j++
+		}
 	case ByGtid:
-		return h.gtidKey(pcPart, ctx.Gtid)
-	default:
-		return pcPart
+		j := 0
+		for m := active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			carries[j] = h.load(h.gtidKey(pcPart, gtidBase+uint32(l))) & mask
+			static[j] = 0
+			j++
+		}
+	default: // SharedThreads: one bucket serves the whole warp
+		v := h.load(pcPart) & mask
+		n := bits.OnesCount32(active)
+		for j := 0; j < n; j++ {
+			carries[j], static[j] = v, 0
+		}
 	}
 }
 
-// Predict implements Predictor: the previous carries stored for this
-// (PC, thread) bucket, defaulting to all-zero when cold.
-func (h *History) Predict(ctx Context) Prediction {
-	return Prediction{Carries: h.load(h.key(ctx)) & h.cfg.Geometry.BoundaryMask()}
-}
-
-// Update implements Predictor. Matching the hardware, history is written
-// only when the thread mispredicted (unless AlwaysUpdate is set).
-func (h *History) Update(ctx Context, actual uint64, mispredicted bool) {
-	if !mispredicted && !h.cfg.AlwaysUpdate {
+// UpdateWarp implements Predictor. The write set is the mispredicting
+// lanes (all active lanes under AlwaysUpdate), written in ascending lane
+// order so shared buckets keep the sequential loop's last-writer-wins.
+func (h *History) UpdateWarp(pc, gtidBase uint32, active, mispred, _ uint32, _, _, actual []uint64) {
+	write := mispred
+	if h.cfg.AlwaysUpdate {
+		write = active
+	}
+	if write == 0 {
 		return
 	}
-	h.store(h.key(ctx), actual&h.cfg.Geometry.BoundaryMask())
+	pcPart := h.cfg.pcPart(pc)
+	mask := h.cfg.Geometry.BoundaryMask()
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		if write&(1<<l) != 0 {
+			var key uint64
+			switch h.cfg.Threads {
+			case ByLtid:
+				key = pcPart<<5 | uint64(l)
+			case ByGtid:
+				key = h.gtidKey(pcPart, gtidBase+uint32(l))
+			default:
+				key = pcPart
+			}
+			h.store(key, actual[j]&mask)
+		}
+		j++
+	}
 }
 
 // Reset implements Predictor.

@@ -1,13 +1,16 @@
 package speculate
 
-import "strings"
+import (
+	"math/bits"
+	"strings"
+)
 
 // History2 explores the *temporal axis* of the paper's design space
 // (Section I: "…along the spatial axis (PC correlation), temporal axis
 // (history depth), and history sharing among threads"): a depth-2
 // previous-carry table. Each bucket keeps the carries of the last two
 // operations; per boundary the prediction is the bit the two histories
-// agree on, falling back to the most recent bit when they disagree.
+// agree on, and the older bit when they disagree.
 //
 // The paper lands on depth 1 (the plain Prev tables); this implementation
 // lets the claim be re-checked — see BenchmarkAblationHistoryDepth.
@@ -34,49 +37,66 @@ func (h *History2) Name() string {
 	return strings.Replace(h.cfg.Name(), "Prev", "Prev2", 1)
 }
 
-func (h *History2) key(ctx Context) uint64 {
-	// Same bucketing as the depth-1 History.
-	tmp := History{cfg: h.cfg}
-	return tmp.key(ctx)
-}
-
-// Predict implements Predictor: where the two histories agree, predict
-// the agreed bit; where they disagree the stream may be alternating
-// (carry toggling every iteration), so predict the older bit — i.e., the
-// flip of the most recent one. A pure "predict last" depth-2 table would
-// be identical to depth 1; the alternation heuristic is what extra depth
-// can actually buy.
-func (h *History2) Predict(ctx Context) Prediction {
-	k := h.key(ctx)
-	last := h.last[k]
-	old := h.prev2[k]
-	mask := h.cfg.Geometry.BoundaryMask()
-	agree := ^(last ^ old)
-	pred := (last & agree) | (old &^ agree)
-	return Prediction{Carries: pred & mask}
-}
-
-// Update implements Predictor.
-func (h *History2) Update(ctx Context, actual uint64, mispredicted bool) {
-	if !mispredicted && !h.cfg.AlwaysUpdate {
-		return
+// key is lane l's bucket: the depth-1 History's (PC, thread) bucketing
+// in its map layout.
+func (h *History2) key(pcPart uint64, gtid uint32, l int) uint64 {
+	switch h.cfg.Threads {
+	case ByLtid:
+		return pcPart<<5 | uint64(l)
+	case ByGtid:
+		return pcPart<<32 | uint64(gtid)
+	default:
+		return pcPart
 	}
-	k := h.key(ctx)
-	h.prev2[k] = h.last[k]
-	h.last[k] = actual & h.cfg.Geometry.BoundaryMask()
+}
+
+// PredictWarp implements Predictor: where the two histories agree,
+// predict the agreed bit; where they disagree the stream may be
+// alternating (carry toggling every iteration), so predict the older bit
+// — i.e., the flip of the most recent one. A pure "predict last" depth-2
+// table would be identical to depth 1; the alternation heuristic is what
+// extra depth can actually buy.
+func (h *History2) PredictWarp(pc, gtidBase, active, _ uint32, _, _, carries, static []uint64) {
+	pcPart := h.cfg.pcPart(pc)
+	mask := h.cfg.Geometry.BoundaryMask()
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		k := h.key(pcPart, gtidBase+uint32(l), l)
+		last, old := h.last[k], h.prev2[k]
+		agree := ^(last ^ old)
+		carries[j] = ((last & agree) | (old &^ agree)) & mask
+		static[j] = 0
+		j++
+	}
+}
+
+// UpdateWarp implements Predictor: each writing lane (the mispredicting
+// ones, or all active lanes under AlwaysUpdate) shifts its bucket's
+// history, in ascending lane order.
+func (h *History2) UpdateWarp(pc, gtidBase, active, mispred, _ uint32, _, _, actual []uint64) {
+	write := mispred
+	if h.cfg.AlwaysUpdate {
+		write = active
+	}
+	pcPart := h.cfg.pcPart(pc)
+	mask := h.cfg.Geometry.BoundaryMask()
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		if write&(1<<l) != 0 {
+			k := h.key(pcPart, gtidBase+uint32(l), l)
+			h.prev2[k] = h.last[k]
+			h.last[k] = actual[j] & mask
+		}
+		j++
+	}
 }
 
 // Reset implements Predictor.
 func (h *History2) Reset() {
 	h.last = make(map[uint64]uint64)
 	h.prev2 = make(map[uint64]uint64)
-}
-
-// Agreement returns, for the bucket of ctx, the boundary mask where the
-// two stored histories agree — the predictor's confidence signal.
-func (h *History2) Agreement(ctx Context) uint64 {
-	k := h.key(ctx)
-	return ^(h.last[k] ^ h.prev2[k]) & h.cfg.Geometry.BoundaryMask()
 }
 
 // DepthStats reports table occupancy.

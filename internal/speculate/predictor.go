@@ -4,30 +4,18 @@
 // Ltid indexing, the Peek static-resolution filter, and the hardware Carry
 // Register File (CRF) with write-back contention and random arbitration.
 //
-// A Predictor produces, for one dynamic add/sub, the packed per-boundary
-// carry predictions that internal/adder consumes, and learns from the
-// operation's actual carry-outs afterwards.
+// A Predictor produces, for one warp-synchronous add/sub, every active
+// lane's packed per-boundary carry predictions that internal/adder
+// consumes, and learns from the lanes' actual carry-outs afterwards.
 package speculate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"st2gpu/internal/adder"
 	"st2gpu/internal/bitmath"
 )
-
-// Context identifies one dynamic operation to the predictor: where it is
-// in the program (PC), who executes it (thread ids) and what flows through
-// the datapath (the *effective* operands after the subtraction transform —
-// exactly what the hardware slice input registers hold).
-type Context struct {
-	PC   uint32 // static instruction index
-	Gtid uint32 // global thread id
-	Ltid uint8  // lane within the warp, 0..31
-	EA   uint64 // effective operand 1
-	EB   uint64 // effective operand 2 (ones'-complemented for subtraction)
-	Cin0 uint   // injected carry into slice 0 (1 for subtraction)
-}
 
 // Prediction carries the packed boundary predictions plus the mask of
 // boundaries that were resolved statically (by Peek) and are therefore
@@ -37,16 +25,28 @@ type Prediction struct {
 	Static  uint64 // bit i set: boundary i was statically resolved (Peek)
 }
 
-// Predictor is one point in the carry-speculation design space.
+// Predictor is one point in the carry-speculation design space. It works
+// on one warp-synchronous add/sub at a time: the active lanes' operands
+// and results sit in flat ascending-lane slices, the j-th set bit of
+// active owning index j (popcount(active) entries). Every prediction of
+// a warp reads the pre-update state (the hardware reads the CRF row once
+// per warp), and updates land in ascending lane order, so the last
+// writing lane wins a shared entry.
 type Predictor interface {
 	// Name returns the design-space label (e.g. "Ltid+Prev+ModPC4+Peek").
 	Name() string
-	// Predict produces the boundary carries to speculate for this operation.
-	Predict(ctx Context) Prediction
-	// Update learns from the operation's true boundary carries. Following
-	// the paper, implementations only write history when the thread
-	// mispredicted (that is when the hardware performs a CRF write-back).
-	Update(ctx Context, actual uint64, mispredicted bool)
+	// PredictWarp fills carries[j]/static[j] with the boundary carries to
+	// speculate for the j-th active lane, whose global thread id is
+	// gtidBase plus its lane. ea/eb are the lanes' effective operands
+	// (after the subtraction transform, as the slice input registers
+	// hold them) and cin bit l is lane l's injected slice-0 carry.
+	PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64)
+	// UpdateWarp delivers the true (already kind-masked) boundary carries
+	// of every active lane; bit l of mispred marks lane l as having
+	// mispredicted. Following the paper, history designs write only
+	// mispredicting lanes (that is when the hardware performs a CRF
+	// write-back).
+	UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64)
 	// Reset clears all history (new kernel launch).
 	Reset()
 }
@@ -101,36 +101,31 @@ func NewStaticOne(g Geometry) Predictor {
 
 func (s *staticPredictor) Name() string { return s.name }
 
-func (s *staticPredictor) Predict(Context) Prediction {
-	return Prediction{Carries: s.value & s.g.BoundaryMask()}
+// PredictWarp implements Predictor: a constant per boundary, no state.
+func (s *staticPredictor) PredictWarp(_, _, active, _ uint32, _, _, carries, static []uint64) {
+	v := s.value & s.g.BoundaryMask()
+	n := bits.OnesCount32(active)
+	for j := 0; j < n; j++ {
+		carries[j], static[j] = v, 0
+	}
 }
 
-func (s *staticPredictor) Update(Context, uint64, bool) {}
-func (s *staticPredictor) Reset()                       {}
+// UpdateWarp implements Predictor: static predictors never learn.
+func (s *staticPredictor) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
+
+// Reset implements Predictor.
+func (s *staticPredictor) Reset() {}
 
 // PeekBits computes the statically-resolvable boundaries for the given
 // effective operands: boundary i (the carry out of slice i) is 0 when both
 // MSBs of slice i's operands are 0, and 1 when both are 1. Returns the
-// resolved mask and the resolved values. The per-boundary gather is
-// branchless (a boundary resolves exactly when the two MSBs agree, and
-// resolves to their AND), keeping the hot sweep path free of
-// data-dependent branches.
+// resolved mask and the resolved values. A boundary resolves exactly when
+// the two MSBs agree, and resolves to their AND, so both masks are one
+// slice-MSB gather each, free of data-dependent branches.
 func PeekBits(g Geometry, ea, eb uint64) (static, values uint64) {
-	agree := ^(ea ^ eb) // bit set where the operands' bits match
-	both := ea & eb     // bit set where they match at 1
-	if g.SliceBits == 8 {
-		// Boundary i's MSB sits at bit 8i+7 — exactly the byte MSBs,
-		// which one multiply-gather collects for all boundaries at once.
-		m := g.BoundaryMask()
-		return bitmath.GatherMSB8(agree) & m, bitmath.GatherMSB8(both) & m
-	}
 	nb := g.Boundaries()
-	for i := uint(0); i < nb; i++ {
-		msbPos := (i+1)*g.SliceBits - 1
-		static |= (agree >> msbPos & 1) << i
-		values |= (both >> msbPos & 1) << i
-	}
-	return static, values
+	return bitmath.GatherSliceMSBs(^(ea ^ eb), g.SliceBits, nb),
+		bitmath.GatherSliceMSBs(ea&eb, g.SliceBits, nb)
 }
 
 // peekPredictor wraps an inner predictor with the Peek filter: boundaries
@@ -148,17 +143,20 @@ func WithPeek(g Geometry, inner Predictor) Predictor {
 
 func (p *peekPredictor) Name() string { return p.inner.Name() + "+Peek" }
 
-func (p *peekPredictor) Predict(ctx Context) Prediction {
-	static, values := PeekBits(p.g, ctx.EA, ctx.EB)
-	dyn := p.inner.Predict(ctx)
-	return Prediction{
-		Carries: (dyn.Carries &^ static) | values,
-		Static:  static | dyn.Static,
+// PredictWarp implements Predictor: the inner predictor runs first, then
+// the Peek filter overlays the statically-resolved boundaries per lane.
+func (p *peekPredictor) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64) {
+	p.inner.PredictWarp(pc, gtidBase, active, cin, ea, eb, carries, static)
+	for j := range carries {
+		pk, values := PeekBits(p.g, ea[j], eb[j])
+		carries[j] = (carries[j] &^ pk) | values
+		static[j] |= pk
 	}
 }
 
-func (p *peekPredictor) Update(ctx Context, actual uint64, mispredicted bool) {
-	p.inner.Update(ctx, actual, mispredicted)
+// UpdateWarp implements Predictor: Peek itself holds no state.
+func (p *peekPredictor) UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64) {
+	p.inner.UpdateWarp(pc, gtidBase, active, mispred, cin, ea, eb, actual)
 }
 
 func (p *peekPredictor) Reset() { p.inner.Reset() }
@@ -170,16 +168,21 @@ type Oracle struct{ G Geometry }
 // Name implements Predictor.
 func (o *Oracle) Name() string { return "oracle" }
 
-// Predict returns the exact boundary carries.
-func (o *Oracle) Predict(ctx Context) Prediction {
-	return Prediction{
-		Carries: bitmath.BoundaryCarriesPacked(ctx.EA, ctx.EB, ctx.Cin0, o.G.Width, o.G.SliceBits),
-		Static:  o.G.BoundaryMask(),
+// PredictWarp implements Predictor: every lane's exact boundary carries,
+// all marked as resolved.
+func (o *Oracle) PredictWarp(_, _, active, cin uint32, ea, eb, carries, static []uint64) {
+	all := o.G.BoundaryMask()
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		carries[j] = bitmath.BoundaryCarriesPacked(ea[j], eb[j], uint(cin>>l&1), o.G.Width, o.G.SliceBits)
+		static[j] = all
+		j++
 	}
 }
 
-// Update implements Predictor.
-func (o *Oracle) Update(Context, uint64, bool) {}
+// UpdateWarp implements Predictor.
+func (o *Oracle) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
 
 // Reset implements Predictor.
 func (o *Oracle) Reset() {}

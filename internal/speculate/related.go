@@ -1,10 +1,6 @@
 package speculate
 
-import (
-	"math/bits"
-
-	"st2gpu/internal/bitmath"
-)
+import "st2gpu/internal/bitmath"
 
 // Related-work baselines (Section VII of the paper).
 
@@ -24,83 +20,31 @@ func NewCASA(g Geometry) *CASA { return &CASA{G: g} }
 // Name implements Predictor.
 func (c *CASA) Name() string { return "CASA" }
 
-// Predict implements Predictor. Boundary i carries iff at least one of
-// the preceding slice's operand MSBs is set (certain when both are,
+// PredictWarp implements Predictor. Boundary i carries iff at least one
+// of the preceding slice's operand MSBs is set (certain when both are,
 // impossible when neither is, and CASA bets on propagation completing
-// when exactly one is) — which is the MSB gather of EA|EB.
-func (c *CASA) Predict(ctx Context) Prediction {
-	if c.G.SliceBits == 8 {
-		return Prediction{Carries: bitmath.GatherMSB8(ctx.EA|ctx.EB) & c.G.BoundaryMask()}
-	}
+// when exactly one is) — which is the slice-MSB gather of EA|EB.
+func (c *CASA) PredictWarp(_, _, _, _ uint32, ea, eb, carries, static []uint64) {
 	nb := c.G.Boundaries()
-	var carries uint64
-	or := ctx.EA | ctx.EB
-	for i := uint(0); i < nb; i++ {
-		msbPos := (i+1)*c.G.SliceBits - 1
-		carries |= (or >> msbPos & 1) << i
+	for j := range carries {
+		carries[j] = bitmath.GatherSliceMSBs(ea[j]|eb[j], c.G.SliceBits, nb)
+		static[j] = 0
 	}
-	return Prediction{Carries: carries}
 }
 
-// Update implements Predictor (CASA is stateless).
-func (c *CASA) Update(Context, uint64, bool) {}
+// UpdateWarp implements Predictor (CASA is stateless).
+func (c *CASA) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
 
 // Reset implements Predictor.
 func (c *CASA) Reset() {}
 
-// PredictWarp implements WarpPredictor: one gather per lane.
-func (c *CASA) PredictWarp(_, _, active, _ uint32, ea, eb, carries, static []uint64) {
-	if c.G.SliceBits == 8 {
-		mask := c.G.BoundaryMask()
-		n := bits.OnesCount32(active)
-		for j := 0; j < n; j++ {
-			carries[j] = bitmath.GatherMSB8(ea[j]|eb[j]) & mask
-			static[j] = 0
-		}
-		return
-	}
-	n := bits.OnesCount32(active)
-	for j := 0; j < n; j++ {
-		pr := c.Predict(Context{EA: ea[j], EB: eb[j]})
-		carries[j], static[j] = pr.Carries, 0
-	}
+// NewVLSA returns the baseline of "Variable latency speculative addition"
+// (Verma, Brisk, Ienne — DATE 2008): the original variable-latency adder.
+// Its carry speculation is the simple static zero (it relies on the
+// rarity of long carry chains); what it pioneered — detection and
+// multi-cycle correction — is shared by every design in this
+// repository's framework. It is kept as a named design so sweeps can
+// reference the lineage explicitly.
+func NewVLSA(g Geometry) Predictor {
+	return &staticPredictor{g: g, name: "VLSA"}
 }
-
-// UpdateWarp implements WarpPredictor (CASA is stateless).
-func (c *CASA) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
-
-// VLSA models "Variable latency speculative addition" (Verma, Brisk,
-// Ienne — DATE 2008): the original variable-latency adder. Its carry
-// speculation is the simple static zero (it relies on the rarity of long
-// carry chains); what it pioneered — detection and multi-cycle correction
-// — is shared by every design in this repository's framework. It is kept
-// as a named design so sweeps can reference the lineage explicitly.
-type VLSA struct {
-	G Geometry
-}
-
-// NewVLSA builds the baseline.
-func NewVLSA(g Geometry) *VLSA { return &VLSA{G: g} }
-
-// Name implements Predictor.
-func (v *VLSA) Name() string { return "VLSA" }
-
-// Predict implements Predictor: all carries speculated zero.
-func (v *VLSA) Predict(Context) Prediction { return Prediction{} }
-
-// Update implements Predictor.
-func (v *VLSA) Update(Context, uint64, bool) {}
-
-// Reset implements Predictor.
-func (v *VLSA) Reset() {}
-
-// PredictWarp implements WarpPredictor: all carries speculated zero.
-func (v *VLSA) PredictWarp(_, _, active, _ uint32, _, _, carries, static []uint64) {
-	n := bits.OnesCount32(active)
-	for j := 0; j < n; j++ {
-		carries[j], static[j] = 0, 0
-	}
-}
-
-// UpdateWarp implements WarpPredictor (VLSA is stateless).
-func (v *VLSA) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}

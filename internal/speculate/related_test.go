@@ -14,21 +14,21 @@ func TestCASAKnownCases(t *testing.T) {
 		t.Error("name")
 	}
 	// Both slice-0 MSBs set → boundary 0 predicted 1.
-	p := c.Predict(Context{EA: 0x80, EB: 0x80})
+	p := predictOne(c, Context{EA: 0x80, EB: 0x80})
 	if p.Carries&1 != 1 {
 		t.Error("both MSBs set should predict carry")
 	}
 	// Neither set → 0.
-	p = c.Predict(Context{EA: 0x7F, EB: 0x7F})
+	p = predictOne(c, Context{EA: 0x7F, EB: 0x7F})
 	if p.Carries&1 != 0 {
 		t.Error("no MSBs set should predict no carry")
 	}
 	// Exactly one set → CASA bets 1.
-	p = c.Predict(Context{EA: 0x80, EB: 0})
+	p = predictOne(c, Context{EA: 0x80, EB: 0})
 	if p.Carries&1 != 1 {
 		t.Error("one MSB set: CASA predicts propagation")
 	}
-	c.Update(Context{}, 0x7F, true) // no-op
+	updateOne(c, Context{}, 0x7F, true) // no-op
 	c.Reset()
 }
 
@@ -36,7 +36,7 @@ func TestCASAKnownCases(t *testing.T) {
 func TestCASAGuaranteedSubset(t *testing.T) {
 	c := NewCASA(g64)
 	f := func(a, b uint64) bool {
-		pred := c.Predict(Context{EA: a, EB: b})
+		pred := predictOne(c, Context{EA: a, EB: b})
 		truth := bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
 		static, values := PeekBits(g64, a, b)
 		// Where Peek can resolve, CASA must agree with the truth too.
@@ -59,8 +59,8 @@ func TestCASABeatsStaticsOnRandom(t *testing.T) {
 		a, b := rng.Uint64(), rng.Uint64()
 		truth := bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
 		ctx := Context{EA: a, EB: b}
-		casaWrong += bitmath.PopCount64((casa.Predict(ctx).Carries ^ truth) & 0x7F)
-		zeroWrong += bitmath.PopCount64((zero.Predict(ctx).Carries ^ truth) & 0x7F)
+		casaWrong += bitmath.PopCount64((predictOne(casa, ctx).Carries ^ truth) & 0x7F)
+		zeroWrong += bitmath.PopCount64((predictOne(zero, ctx).Carries ^ truth) & 0x7F)
 	}
 	if casaWrong >= zeroWrong {
 		t.Errorf("CASA (%d wrong boundaries) should beat staticZero (%d) on random operands",
@@ -73,12 +73,12 @@ func TestVLSA(t *testing.T) {
 	if v.Name() != "VLSA" {
 		t.Error("name")
 	}
-	if p := v.Predict(Context{EA: ^uint64(0), EB: ^uint64(0)}); p.Carries != 0 || p.Static != 0 {
+	if p := predictOne(v, Context{EA: ^uint64(0), EB: ^uint64(0)}); p.Carries != 0 || p.Static != 0 {
 		t.Error("VLSA always speculates zero")
 	}
-	v.Update(Context{}, 0x7F, true)
+	updateOne(v, Context{}, 0x7F, true)
 	v.Reset()
-	if v.Predict(Context{}).Carries != 0 {
+	if predictOne(v, Context{}).Carries != 0 {
 		t.Error("VLSA is stateless")
 	}
 }

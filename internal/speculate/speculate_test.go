@@ -39,15 +39,15 @@ func TestStaticPredictors(t *testing.T) {
 		t.Error("names wrong")
 	}
 	ctx := Context{EA: 123, EB: 456}
-	if p := z.Predict(ctx); p.Carries != 0 || p.Static != 0 {
+	if p := predictOne(z, ctx); p.Carries != 0 || p.Static != 0 {
 		t.Errorf("staticZero predicted %v", p)
 	}
-	if p := o.Predict(ctx); p.Carries != 0x7F {
+	if p := predictOne(o, ctx); p.Carries != 0x7F {
 		t.Errorf("staticOne predicted %#x, want 0x7F", p.Carries)
 	}
-	z.Update(ctx, 0x7F, true) // no-op
+	updateOne(z, ctx, 0x7F, true) // no-op
 	z.Reset()
-	if p := z.Predict(ctx); p.Carries != 0 {
+	if p := predictOne(z, ctx); p.Carries != 0 {
 		t.Error("static predictor must be stateless")
 	}
 }
@@ -96,12 +96,12 @@ func TestWithPeekDelegation(t *testing.T) {
 	}
 	// Operands with all slice MSBs 0: peek forces every boundary to 0
 	// even though the inner predictor says 1.
-	got := p.Predict(Context{EA: 0, EB: 0})
+	got := predictOne(p, Context{EA: 0, EB: 0})
 	if got.Carries != 0 || got.Static != 0x7F {
 		t.Errorf("peek did not override: %+v", got)
 	}
 	// Mixed: unresolved boundaries fall through to the inner prediction.
-	got = p.Predict(Context{EA: 0x80, EB: 0}) // slice 0 MSBs disagree
+	got = predictOne(p, Context{EA: 0x80, EB: 0}) // slice 0 MSBs disagree
 	if got.Static&1 != 0 {
 		t.Error("boundary 0 should be dynamic")
 	}
@@ -116,7 +116,7 @@ func TestOracleAlwaysRight(t *testing.T) {
 		t.Error("name")
 	}
 	f := func(a, b uint64) bool {
-		p := o.Predict(Context{EA: a, EB: b, Cin0: 0})
+		p := predictOne(o, Context{EA: a, EB: b, Cin0: 0})
 		return p.Carries == bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -169,23 +169,23 @@ func TestHistoryLearnsPerPC(t *testing.T) {
 	}
 	ctxA := Context{PC: 3}
 	ctxB := Context{PC: 5}
-	h.Update(ctxA, 0x15, true)
-	h.Update(ctxB, 0x2A, true)
-	if p := h.Predict(ctxA); p.Carries != 0x15 {
+	updateOne(h, ctxA, 0x15, true)
+	updateOne(h, ctxB, 0x2A, true)
+	if p := predictOne(h, ctxA); p.Carries != 0x15 {
 		t.Errorf("PC3 prediction %#x", p.Carries)
 	}
-	if p := h.Predict(ctxB); p.Carries != 0x2A {
+	if p := predictOne(h, ctxB); p.Carries != 0x2A {
 		t.Errorf("PC5 prediction %#x", p.Carries)
 	}
 	// PC 19 aliases PC 3 under ModPC4.
-	if p := h.Predict(Context{PC: 19}); p.Carries != 0x15 {
+	if p := predictOne(h, Context{PC: 19}); p.Carries != 0x15 {
 		t.Errorf("aliased PC prediction %#x", p.Carries)
 	}
 	if h.Entries() != 2 {
 		t.Errorf("entries = %d", h.Entries())
 	}
 	h.Reset()
-	if h.Entries() != 0 || h.Predict(ctxA).Carries != 0 {
+	if h.Entries() != 0 || predictOne(h, ctxA).Carries != 0 {
 		t.Error("reset did not clear")
 	}
 }
@@ -198,16 +198,16 @@ func TestHistoryThreadModes(t *testing.T) {
 	// Thread 5 (lane 5) learns; thread 37 (lane 5 of the next warp) asks.
 	learn := Context{Gtid: 5, Ltid: 5}
 	ask := Context{Gtid: 37, Ltid: 5}
-	gt.Update(learn, 0x3, true)
-	lt.Update(learn, 0x3, true)
-	if p := gt.Predict(ask); p.Carries != 0 {
+	updateOne(gt, learn, 0x3, true)
+	updateOne(lt, learn, 0x3, true)
+	if p := predictOne(gt, ask); p.Carries != 0 {
 		t.Errorf("Gtid mode leaked history across threads: %#x", p.Carries)
 	}
-	if p := lt.Predict(ask); p.Carries != 0x3 {
+	if p := predictOne(lt, ask); p.Carries != 0x3 {
 		t.Errorf("Ltid mode should share across warps: %#x", p.Carries)
 	}
 	// Different lane must not see it.
-	if p := lt.Predict(Context{Gtid: 38, Ltid: 6}); p.Carries != 0 {
+	if p := predictOne(lt, Context{Gtid: 38, Ltid: 6}); p.Carries != 0 {
 		t.Errorf("Ltid mode leaked across lanes: %#x", p.Carries)
 	}
 }
@@ -215,12 +215,12 @@ func TestHistoryThreadModes(t *testing.T) {
 func TestHistoryUpdatePolicy(t *testing.T) {
 	h, _ := NewHistory(HistoryConfig{Geometry: g64})
 	ctx := Context{PC: 1}
-	h.Update(ctx, 0x7F, false) // correct prediction → no write-back
-	if h.Predict(ctx).Carries != 0 {
+	updateOne(h, ctx, 0x7F, false) // correct prediction → no write-back
+	if predictOne(h, ctx).Carries != 0 {
 		t.Error("non-mispredicted op should not update history")
 	}
-	h.Update(ctx, 0x7F, true)
-	if h.Predict(ctx).Carries != 0x7F {
+	updateOne(h, ctx, 0x7F, true)
+	if predictOne(h, ctx).Carries != 0x7F {
 		t.Error("mispredicted op must update history")
 	}
 }
@@ -228,12 +228,12 @@ func TestHistoryUpdatePolicy(t *testing.T) {
 func TestXorPCFolding(t *testing.T) {
 	h, _ := NewHistory(HistoryConfig{Geometry: g64, PCMode: XorPC, PCBits: 4, AlwaysUpdate: true})
 	// PCs 0x13 and 0x31 fold to 1^3 = 2 and 3^1 = 2: they alias.
-	h.Update(Context{PC: 0x13}, 0x55, true)
-	if p := h.Predict(Context{PC: 0x31}); p.Carries != 0x55 {
+	updateOne(h, Context{PC: 0x13}, 0x55, true)
+	if p := predictOne(h, Context{PC: 0x31}); p.Carries != 0x55 {
 		t.Errorf("XOR-folded PCs should alias: %#x", p.Carries)
 	}
 	// PC 0x10 folds to 1: distinct.
-	if p := h.Predict(Context{PC: 0x10}); p.Carries != 0 {
+	if p := predictOne(h, Context{PC: 0x10}); p.Carries != 0 {
 		t.Errorf("distinct fold leaked: %#x", p.Carries)
 	}
 }
@@ -244,26 +244,26 @@ func TestVaLHALLA(t *testing.T) {
 		t.Error("name")
 	}
 	ctx := Context{Gtid: 9}
-	if v.Predict(ctx).Carries != 0 {
+	if predictOne(v, ctx).Carries != 0 {
 		t.Error("cold VaLHALLA should predict 0")
 	}
 	// Majority of boundaries carried → broadcast 1 everywhere.
-	v.Update(ctx, 0x7F, false)
-	if v.Predict(ctx).Carries != 0x7F {
+	updateOne(v, ctx, 0x7F, false)
+	if predictOne(v, ctx).Carries != 0x7F {
 		t.Error("after all-ones carries, should broadcast 1")
 	}
 	// Minority → broadcast 0.
-	v.Update(ctx, 0x03, false)
-	if v.Predict(ctx).Carries != 0 {
+	updateOne(v, ctx, 0x03, false)
+	if predictOne(v, ctx).Carries != 0 {
 		t.Error("after two-of-seven carries, should broadcast 0")
 	}
 	// Per-thread isolation.
-	if v.Predict(Context{Gtid: 10}).Carries != 0 {
+	if predictOne(v, Context{Gtid: 10}).Carries != 0 {
 		t.Error("VaLHALLA state leaked across threads")
 	}
-	v.Update(ctx, 0x7F, false)
+	updateOne(v, ctx, 0x7F, false)
 	v.Reset()
-	if v.Predict(ctx).Carries != 0 {
+	if predictOne(v, ctx).Carries != 0 {
 		t.Error("reset failed")
 	}
 }
@@ -280,11 +280,11 @@ func TestRegistryConstructsAllDesigns(t *testing.T) {
 		}
 		// Smoke: predict/update/reset cycle.
 		ctx := Context{PC: 7, Gtid: 33, Ltid: 1, EA: 100, EB: 200}
-		pr := p.Predict(ctx)
+		pr := predictOne(p, ctx)
 		if pr.Carries&^g64.BoundaryMask() != 0 {
 			t.Errorf("%q predicted out-of-range bits %#x", name, pr.Carries)
 		}
-		p.Update(ctx, 0x7F, true)
+		updateOne(p, ctx, 0x7F, true)
 		p.Reset()
 	}
 	extra := []string{"oracle", "Ltid+Prev+XorPC4+Peek", "Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"}
@@ -473,12 +473,12 @@ func TestFinalDesignBeatsStaticOnLoopStream(t *testing.T) {
 					a := base + uint64(iter)*uint64(pc+1)
 					b := uint64(pc) * 37
 					ctx := Context{PC: pc, Gtid: uint32(lane), Ltid: lane, EA: a, EB: b}
-					pred := p.Predict(ctx)
+					pred := predictOne(p, ctx)
 					r := ad.Execute(a, b, adder.Add, pred.Carries)
 					if r.Mispredicted {
 						mispredicts++
 					}
-					p.Update(ctx, r.ActualCarries, r.Mispredicted)
+					updateOne(p, ctx, r.ActualCarries, r.Mispredicted)
 					total++
 				}
 			}
@@ -509,19 +509,16 @@ func TestHistory2AlternationHeuristic(t *testing.T) {
 	}
 	ctx := Context{PC: 1}
 	// Steady stream: agreement → predict the agreed bits.
-	h.Update(ctx, 0x55, true)
-	h.Update(ctx, 0x55, true)
-	if p := h.Predict(ctx); p.Carries != 0x55 {
+	updateOne(h, ctx, 0x55, true)
+	updateOne(h, ctx, 0x55, true)
+	if p := predictOne(h, ctx); p.Carries != 0x55 {
 		t.Errorf("steady stream predicted %#x", p.Carries)
-	}
-	if h.Agreement(ctx) != 0x7F {
-		t.Errorf("agreement = %#x", h.Agreement(ctx))
 	}
 	// Alternating stream on bit 0: ..., 1, 0 → predict toggle back to 1.
 	h.Reset()
-	h.Update(ctx, 0x01, true)
-	h.Update(ctx, 0x00, true)
-	if p := h.Predict(ctx); p.Carries&1 != 1 {
+	updateOne(h, ctx, 0x01, true)
+	updateOne(h, ctx, 0x00, true)
+	if p := predictOne(h, ctx); p.Carries&1 != 1 {
 		t.Errorf("alternating bit should be predicted to toggle: %#x", p.Carries)
 	}
 	if h.DepthStats() != 1 {
@@ -529,8 +526,8 @@ func TestHistory2AlternationHeuristic(t *testing.T) {
 	}
 	// Update policy: no write without misprediction when AlwaysUpdate off.
 	h2, _ := NewHistory2(HistoryConfig{Geometry: g64})
-	h2.Update(ctx, 0x7F, false)
-	if h2.Predict(ctx).Carries != 0 {
+	updateOne(h2, ctx, 0x7F, false)
+	if predictOne(h2, ctx).Carries != 0 {
 		t.Error("non-mispredicted op should not update depth-2 history")
 	}
 	if _, err := NewHistory2(HistoryConfig{Geometry: Geometry{}}); err == nil {
@@ -595,7 +592,7 @@ func TestAllDesignsSafetyProperties(t *testing.T) {
 				cin = 1
 			}
 			ctx := Context{PC: pc, Gtid: gtid, Ltid: ltid % 32, EA: a, EB: b, Cin0: cin}
-			pred := p.Predict(ctx)
+			pred := predictOne(p, ctx)
 			if pred.Carries&^g64.BoundaryMask() != 0 || pred.Static&^g64.BoundaryMask() != 0 {
 				return false
 			}
@@ -603,7 +600,7 @@ func TestAllDesignsSafetyProperties(t *testing.T) {
 			if (pred.Carries^truth)&pred.Static != 0 {
 				return false // a "static" (guaranteed) bit was wrong
 			}
-			p.Update(ctx, truth, mispred)
+			updateOne(p, ctx, truth, mispred)
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -1,10 +1,6 @@
 package speculate
 
-import (
-	"math/bits"
-
-	"st2gpu/internal/bitmath"
-)
+import "math/bits"
 
 // VaLHALLA models the prior state-of-the-art variable-latency adder the
 // paper compares against (Gok & Hardavellas, GLSVLSI 2017). Its defining
@@ -75,33 +71,11 @@ func (v *VaLHALLA) setBit(gtid uint32, b uint8) {
 	v.bits[gtid] = b
 }
 
-// Predict implements Predictor: broadcast the thread's single history bit
-// to all boundaries.
-func (v *VaLHALLA) Predict(ctx Context) Prediction {
-	if v.bit(ctx.Gtid) == 1 {
-		return Prediction{Carries: v.g.BoundaryMask()}
-	}
-	return Prediction{}
-}
-
-// Update implements Predictor: the broadcast bit becomes the majority of
-// the boundary carries the operation actually produced. VaLHALLA updates
-// on every operation (it has no notion of selective write-back).
-func (v *VaLHALLA) Update(ctx Context, actual uint64, _ bool) {
-	nb := int(v.g.Boundaries())
-	ones := bitmath.PopCount64(actual & v.g.BoundaryMask())
-	if 2*ones >= nb+1 { // strict majority of boundaries carried
-		v.setBit(ctx.Gtid, 1)
-	} else {
-		v.setBit(ctx.Gtid, 0)
-	}
-}
-
 // Reset implements Predictor.
 func (v *VaLHALLA) Reset() { v.bits, v.overflow = nil, nil }
 
-// PredictWarp implements WarpPredictor: one table load per lane, no
-// Context materialization.
+// PredictWarp implements Predictor: each lane's single history bit,
+// broadcast to all boundaries.
 func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _, carries, static []uint64) {
 	mask := v.g.BoundaryMask()
 	j := 0
@@ -113,9 +87,10 @@ func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _, carries, sta
 	}
 }
 
-// UpdateWarp implements WarpPredictor: every active lane writes its
-// majority bit (VaLHALLA ignores the mispredict mask), matching the
-// sequential per-lane Update order.
+// UpdateWarp implements Predictor: each active lane's bit becomes the
+// majority of the boundary carries its operation actually produced.
+// VaLHALLA updates on every operation (it has no notion of selective
+// write-back), so the mispredict mask is ignored.
 func (v *VaLHALLA) UpdateWarp(_, gtidBase, active, _, _ uint32, _, _, actual []uint64) {
 	nb := int(v.g.Boundaries())
 	mask := v.g.BoundaryMask()

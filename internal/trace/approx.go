@@ -3,12 +3,12 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/speculate"
-	"st2gpu/internal/stats"
 )
 
 // ApproxMeter quantifies what the error-accepting approximate speculative
@@ -19,9 +19,7 @@ import (
 // design decision — why ST² insists on the variable-latency correction.
 type ApproxMeter struct {
 	Designs []string
-	preds   map[string]speculate.Predictor
-	wrong   map[string]*stats.Rate
-	relErr  map[string]*runningMean
+	eval    *approxEval
 	scratch warpScratch
 }
 
@@ -52,22 +50,11 @@ func NewApproxMeter(designs []string) (*ApproxMeter, error) {
 	if designs == nil {
 		designs = []string{"staticZero", speculate.FinalDesign}
 	}
-	m := &ApproxMeter{
-		Designs: designs,
-		preds:   make(map[string]speculate.Predictor),
-		wrong:   make(map[string]*stats.Rate),
-		relErr:  make(map[string]*runningMean),
+	e, err := newApproxEval(designs)
+	if err != nil {
+		return nil, err
 	}
-	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: approx design %q: %w", d, err)
-		}
-		m.preds[d] = p
-		m.wrong[d] = &stats.Rate{}
-		m.relErr[d] = &runningMean{}
-	}
-	return m, nil
+	return &ApproxMeter{Designs: designs, eval: e}, nil
 }
 
 // widthOf returns the datapath width for a unit kind.
@@ -105,30 +92,30 @@ func approxSum(ea, eb uint64, cin0 uint, width uint, predicted uint64) uint64 {
 // TraceWarpAdds implements gpusim.AddTracer. The warp is compacted once
 // (the traced Sum doubles as the exact result — the recording integrity
 // check pins Sum == EA+EB+Cin0 over the unit width) and every design
-// runs the shared batched eval core.
+// runs the approximate-adder eval step on it.
 func (m *ApproxMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range m.Designs {
-		approxStep(m.preds[d], m.wrong[d], m.relErr[d], r, &m.scratch.eval)
+	m.eval.step(m.scratch.compact(kind, pc, gtidBase, ops))
+}
+
+// result returns a design's outcome so far.
+func (m *ApproxMeter) result(design string) (ApproxResult, error) {
+	d := slices.Index(m.Designs, design)
+	if d < 0 {
+		return ApproxResult{}, fmt.Errorf("trace: design %q not in approx meter", design)
 	}
+	return m.eval.result(d), nil
 }
 
 // WrongRate returns the fraction of operations whose uncorrected result
 // would have been wrong.
 func (m *ApproxMeter) WrongRate(design string) (float64, error) {
-	r, ok := m.wrong[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in approx meter", design)
-	}
-	return r.Value(), nil
+	r, err := m.result(design)
+	return r.Wrong.Value(), err
 }
 
 // MeanRelError returns the mean relative magnitude error of the wrong
 // results.
 func (m *ApproxMeter) MeanRelError(design string) (float64, error) {
-	r, ok := m.relErr[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in approx meter", design)
-	}
-	return r.mean(), nil
+	r, err := m.result(design)
+	return r.MeanRelErr, err
 }

@@ -1,13 +1,12 @@
 package trace
 
 import (
-	"math/bits"
+	"fmt"
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/speculate"
-	"st2gpu/internal/stats"
 )
 
 // warpRec is the canonical flat form of one warp-synchronous record: the
@@ -15,8 +14,7 @@ import (
 // boundary carry-outs in ascending lane order — the j-th set bit of
 // active owns index j. Both the live AddTracer meters (via warpScratch)
 // and the decoded SoA caches (via DecodedKernel views) produce this form
-// and run the same eval steps below, which is what makes decoded
-// evaluation bit-identical to live metering by construction.
+// and run the same per-metric eval steps (batcheval.go).
 type warpRec struct {
 	kind        core.UnitKind
 	pc, base    uint32
@@ -25,18 +23,12 @@ type warpRec struct {
 	carries     []uint64 // 7-boundary carry-outs, kind mask applied at eval
 }
 
-// evalScratch is the per-evaluator lane scratch reused across records.
-type evalScratch struct {
-	carries, static, actual [32]uint64
-}
-
 // warpScratch compacts the dense [32]WarpAddOp tracer form into a
 // warpRec, computing each lane's boundary carry-outs once per record (the
 // meters then share them across every design).
 type warpScratch struct {
 	rec                  warpRec
 	ea, eb, sum, carries [32]uint64
-	eval                 evalScratch
 }
 
 func (w *warpScratch) compact(kind core.UnitKind, pc, base uint32, ops *[32]gpusim.WarpAddOp) *warpRec {
@@ -60,74 +52,75 @@ func (w *warpScratch) compact(kind core.UnitKind, pc, base uint32, ops *[32]gpus
 	return &w.rec
 }
 
-// nonZeroBit returns 1 when x != 0 and 0 otherwise, without a branch.
-func nonZeroBit(x uint64) uint64 { return (x | -x) >> 63 }
+// designBatch is the evaluation state of a batch of designs scored
+// together over one record stream: the predictors with their Peek
+// wrappers stripped, which of them Peek filters, and the per-record lane
+// scratch (indexed by compacted lane position j, the j-th set bit of
+// active). prepare loads a record once for the whole batch; predict then
+// yields one design's prediction. Correctness rests on two invariants:
+//
+//   - Per-design predictor state is fully independent, so iterating
+//     record-major (all designs per record) gives every design the
+//     records in stream order with its own pre-update state: a batch of
+//     one is the per-design evaluation.
+//   - The Peek overlay is hoisted: PeekBitsWarp computes each lane's
+//     statically-resolved boundaries once per record, and OverlayPeek
+//     applies exactly the Peek composition per design, so stripping the
+//     wrapper (SplitPeek) changes nothing bit-wise.
+type designBatch struct {
+	inner   []speculate.Predictor
+	peeked  []bool
+	anyPeek bool
 
-// dseStep evaluates one design on one warp record with Figure 5
-// semantics: predictions for every lane come from the pre-update state,
-// a lane mispredicts when any non-Peek boundary was speculated wrong,
-// and mispredicting lanes write back. The judge loop is branchless.
-func dseStep(p speculate.Predictor, miss *stats.Rate, r *warpRec, s *evalScratch) {
-	mask := bitmath.Mask(boundariesOf(r.kind))
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-	actual := s.actual[:n]
-	for j := 0; j < n; j++ {
-		actual[j] = r.carries[j] & mask
-	}
-	mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
-	miss.Add(missed, uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	nb                                          uint   // the record's boundary count
+	mask                                        uint64 // and its mask
+	carries, static, actual, pkStatic, pkValues [32]uint64
 }
 
-// corrStep evaluates one Figure 3 scheme on one warp record: per-boundary
-// match tallies against the pre-update history, then every active lane
-// writes back (the correlation analysis compares with the immediately
-// preceding operation, so history updates unconditionally).
-func corrStep(p speculate.Predictor, match *stats.Rate, r *warpRec, s *evalScratch) {
-	nb := boundariesOf(r.kind)
-	mask := bitmath.Mask(nb)
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-	actual := s.actual[:n]
-	for j := 0; j < n; j++ {
-		actual[j] = r.carries[j] & mask
+func newDesignBatch(designs []string) (designBatch, error) {
+	b := designBatch{
+		inner:  make([]speculate.Predictor, len(designs)),
+		peeked: make([]bool, len(designs)),
 	}
-	matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
-	match.Add(matched, uint64(nb)*uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, s.actual[:n])
-}
-
-// approxStep evaluates one design on one warp record with the
-// approximate-adder (no-correction) semantics: Peek-resolved boundaries
-// are exact, dynamic ones use whatever was predicted, and the
-// uncorrected result is compared against the exact sum. relErr
-// accumulates in ascending lane order (floating-point sums are
-// order-sensitive, and this is the order the sequential path used).
-func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r *warpRec, s *evalScratch) {
-	width := widthOf(r.kind)
-	mask := bitmath.Mask(bitmath.NumSlices(width, 8) - 1)
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-	var mispred uint32
-	var wrongResults uint64
-	j := 0
-	for m := r.active; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		actual := r.carries[j] & mask
-		s.actual[j] = actual
-		used := (carries[j] &^ static[j]) | (actual & static[j] & mask)
-		got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
-		mispred |= uint32(nonZeroBit((carries[j]^actual)&mask&^static[j])) << l
-		if got != r.sum[j] {
-			wrongResults++
-			relErr.addRelative(got, r.sum[j])
+	for d, name := range designs {
+		p, err := speculate.NewDesign(name, g64)
+		if err != nil {
+			return designBatch{}, fmt.Errorf("trace: design %q: %w", name, err)
 		}
-		j++
+		b.inner[d], b.peeked[d] = speculate.SplitPeek(p)
+		b.anyPeek = b.anyPeek || b.peeked[d]
 	}
-	wrong.Add(wrongResults, uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	return b, nil
+}
+
+// prepare computes what every design of the batch shares on record r:
+// the kind-masked true boundary carries and the Peek masks.
+func (b *designBatch) prepare(r *warpRec) {
+	n := len(r.ea)
+	b.nb = boundariesOf(r.kind)
+	b.mask = bitmath.Mask(b.nb)
+	for j, c := range r.carries {
+		b.actual[j] = c & b.mask
+	}
+	if b.anyPeek {
+		speculate.PeekBitsWarp(g64, r.ea, r.eb, b.pkStatic[:n], b.pkValues[:n])
+	}
+}
+
+// predict returns design d's prediction for every active lane of r, read
+// from the design's pre-update state.
+func (b *designBatch) predict(d int, r *warpRec) (carries, static []uint64) {
+	n := len(r.ea)
+	carries, static = b.carries[:n], b.static[:n]
+	b.inner[d].PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+	if b.peeked[d] {
+		speculate.OverlayPeek(carries, static, b.pkStatic[:n], b.pkValues[:n])
+	}
+	return carries, static
+}
+
+// update writes r's true carries back into design d for the lanes in
+// write.
+func (b *designBatch) update(d int, r *warpRec, write uint32) {
+	b.inner[d].UpdateWarp(r.pc, r.base, r.active, write, r.cin, r.ea, r.eb, b.actual[:len(r.ea)])
 }

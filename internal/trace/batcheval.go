@@ -1,177 +1,165 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
 
-	"st2gpu/internal/bitmath"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
 
-// This file is the design-batched evaluation path: one pass over a
-// decoded kernel's flat arrays scores every design of a batch, so each
-// warp record's operands, true boundary carries and Peek masks are
-// loaded/computed once and amortized across the design dimension.
-// Correctness rests on two invariants:
-//
-//   - Per-design predictor state is fully independent, so iterating
-//     record-major (all designs per record) produces bit-identical
-//     per-design results to replaying the stream through the meters
-//     (DSEMeter/CorrMeter/ApproxMeter) — each design still observes the
-//     records in stream order with its own pre-update state. A batch of
-//     one is the per-design evaluation.
-//   - The Peek overlay is hoisted: PeekBitsWarp computes each lane's
-//     statically-resolved boundaries once per record, and OverlayPeek
-//     applies exactly the peekPredictor composition per design, so
-//     stripping the Peek wrapper (SplitPeek) changes nothing bit-wise.
-//
-// batchScratch is reused across records; all slices index by compacted
-// lane position j (the j-th set bit of active).
-type batchScratch struct {
-	eval               evalScratch
-	pkStatic, pkValues [32]uint64
+// This file holds one evaluation step per metric. Each step scores every
+// design of its batch on one warp record; the batch kernels run it over
+// a decoded kernel's flat arrays (k.each(e.step)) and the streaming
+// meters over each compacted tracer record, so the decoded and the live
+// evaluations are one engine.
+
+// missEval scores a design batch with Figure 5 semantics.
+type missEval struct {
+	designBatch
+	miss []stats.Rate
 }
 
-// batchPreds builds the predictors for a design batch, stripping Peek
-// wrappers so the per-record Peek computation can be shared.
-func batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, anyPeek bool, err error) {
-	inner = make([]speculate.Predictor, len(designs))
-	peeked = make([]bool, len(designs))
-	for d, name := range designs {
-		p, err := speculate.NewDesign(name, g64)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("trace: design %q: %w", name, err)
-		}
-		inner[d], peeked[d] = speculate.SplitPeek(p)
-		anyPeek = anyPeek || peeked[d]
+func newMissEval(designs []string) (*missEval, error) {
+	b, err := newDesignBatch(designs)
+	if err != nil {
+		return nil, err
 	}
-	return inner, peeked, anyPeek, nil
+	return &missEval{designBatch: b, miss: make([]stats.Rate, len(designs))}, nil
+}
+
+// step evaluates record r: a lane mispredicts when any non-Peek boundary
+// was speculated wrong, and mispredicting lanes write back.
+func (e *missEval) step(r *warpRec) {
+	e.prepare(r)
+	n := len(r.ea)
+	actual := e.actual[:n]
+	for d := range e.inner {
+		carries, static := e.predict(d, r)
+		mispred, missed := speculate.JudgeMissWarp(r.active, e.mask, carries, static, actual)
+		e.miss[d].Add(missed, uint64(n))
+		e.update(d, r, mispred)
+	}
+}
+
+// corrEval scores a batch of Figure 3 correlation schemes.
+type corrEval struct {
+	designBatch
+	match []stats.Rate
+}
+
+func newCorrEval(designs []string) (*corrEval, error) {
+	b, err := newDesignBatch(designs)
+	if err != nil {
+		return nil, err
+	}
+	return &corrEval{designBatch: b, match: make([]stats.Rate, len(designs))}, nil
+}
+
+// step evaluates record r: per-boundary match tallies against the
+// pre-update history, then every active lane writes back (the
+// correlation analysis compares with the immediately preceding
+// operation, so history updates unconditionally).
+func (e *corrEval) step(r *warpRec) {
+	e.prepare(r)
+	n := len(r.ea)
+	actual := e.actual[:n]
+	for d := range e.inner {
+		carries, _ := e.predict(d, r)
+		e.match[d].Add(speculate.JudgeCorrWarp(e.nb, e.mask, carries, actual), uint64(e.nb)*uint64(n))
+		e.update(d, r, r.active)
+	}
+}
+
+// approxEval scores a design batch with the approximate-adder
+// (no-correction) semantics.
+type approxEval struct {
+	designBatch
+	wrong  []stats.Rate
+	relErr []runningMean
+}
+
+func newApproxEval(designs []string) (*approxEval, error) {
+	b, err := newDesignBatch(designs)
+	if err != nil {
+		return nil, err
+	}
+	return &approxEval{
+		designBatch: b,
+		wrong:       make([]stats.Rate, len(designs)),
+		relErr:      make([]runningMean, len(designs)),
+	}, nil
+}
+
+// step evaluates record r: Peek-resolved boundaries are exact, dynamic
+// ones use whatever was predicted, and the uncorrected result is
+// compared against the exact sum. Relative errors accumulate in
+// ascending lane order (floating-point sums are order-sensitive).
+// Mispredicting lanes write back, as in Figure 5.
+func (e *approxEval) step(r *warpRec) {
+	e.prepare(r)
+	width := widthOf(r.kind)
+	n := len(r.ea)
+	actual := e.actual[:n]
+	for d := range e.inner {
+		carries, static := e.predict(d, r)
+		var wrong uint64
+		j := 0
+		for m := r.active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			used := (carries[j] &^ static[j]) | (actual[j] & static[j])
+			if got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used); got != r.sum[j] {
+				wrong++
+				e.relErr[d].addRelative(got, r.sum[j])
+			}
+			j++
+		}
+		e.wrong[d].Add(wrong, uint64(n))
+		mispred, _ := speculate.JudgeMissWarp(r.active, e.mask, carries, static, actual)
+		e.update(d, r, mispred)
+	}
+}
+
+// result returns design d's outcome.
+func (e *approxEval) result(d int) ApproxResult {
+	return ApproxResult{Wrong: e.wrong[d], MeanRelErr: e.relErr[d].mean(), WrongErrSum: e.relErr[d].sum}
 }
 
 // EvalMissBatch evaluates a batch of speculation designs over the
 // decoded stream in one pass with Figure 5 semantics. Result i is
 // bit-identical to a DSEMeter replay's Rate(designs[i]).
 func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	e, err := newMissEval(designs)
 	if err != nil {
 		return nil, err
 	}
-	miss := make([]stats.Rate, len(designs))
-	var s batchScratch
-	k.each(func(r *warpRec) {
-		mask := bitmath.Mask(boundariesOf(r.kind))
-		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
-		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
-			}
-			mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
-			miss[d].Add(missed, uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
-		}
-	})
-	return miss, nil
+	k.each(e.step)
+	return e.miss, nil
 }
 
 // EvalCorrBatch evaluates a batch of Figure 3 correlation schemes over
 // the decoded stream in one pass. Result i is bit-identical to a
 // CorrMeter replay's RawRate(designs[i]).
 func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	e, err := newCorrEval(designs)
 	if err != nil {
 		return nil, err
 	}
-	match := make([]stats.Rate, len(designs))
-	var s batchScratch
-	k.each(func(r *warpRec) {
-		nb := boundariesOf(r.kind)
-		mask := bitmath.Mask(nb)
-		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
-		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
-			}
-			matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
-			match[d].Add(matched, uint64(nb)*uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, actual)
-		}
-	})
-	return match, nil
+	k.each(e.step)
+	return e.match, nil
 }
 
 // EvalApproxBatch evaluates a batch of designs with the
 // approximate-adder (no-correction) semantics in one pass. Result i is
-// bit-identical to an ApproxMeter replay of designs[i]; relative errors
-// accumulate in ascending lane order within each design, as the meter
-// does.
+// bit-identical to an ApproxMeter replay of designs[i].
 func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	e, err := newApproxEval(designs)
 	if err != nil {
 		return nil, err
 	}
-	wrong := make([]stats.Rate, len(designs))
-	relErr := make([]runningMean, len(designs))
-	var s batchScratch
-	k.each(func(r *warpRec) {
-		width := widthOf(r.kind)
-		mask := bitmath.Mask(bitmath.NumSlices(width, 8) - 1)
-		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
-		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
-			}
-			var mispred uint32
-			var wrongResults uint64
-			j := 0
-			for m := r.active; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m)
-				used := (carries[j] &^ static[j]) | (actual[j] & static[j])
-				got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
-				mispred |= uint32(nonZeroBit((carries[j]^actual[j])&mask&^static[j])) << l
-				if got != r.sum[j] {
-					wrongResults++
-					relErr[d].addRelative(got, r.sum[j])
-				}
-				j++
-			}
-			wrong[d].Add(wrongResults, uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
-		}
-	})
+	k.each(e.step)
 	out := make([]ApproxResult, len(designs))
 	for d := range designs {
-		out[d] = ApproxResult{Wrong: wrong[d], MeanRelErr: relErr[d].mean(), WrongErrSum: relErr[d].sum}
+		out[d] = e.result(d)
 	}
 	return out, nil
 }

@@ -55,12 +55,12 @@ func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *
 	c.ops = append(c.ops, *ops)
 }
 
-// TestDecodedEvalMatchesMeterReplay pins the batch kernels against the
-// streaming meters, which apply the full Peek composition per design
-// where the batch hoists it: for every evaluation mode, each design's
-// result from one batch mixing Peek and non-Peek designs is
-// bit-identical to replaying the recording through the matching meter,
-// for a real kernel stream.
+// TestDecodedEvalMatchesMeterReplay pins the decoded form against the
+// streaming meters' compaction of the dense tracer records: both feed
+// the same per-metric eval step, so for every evaluation mode each
+// design's result from one batch mixing Peek and non-Peek designs must
+// be bit-identical to replaying the recording through the matching
+// meter, for a real kernel stream.
 func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	set := recordPathfinder(t)
 	dec, err := DecodeSet(set)
@@ -110,8 +110,8 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchesMeter(t, "EvalApproxBatch", approxDesigns, k.EvalApproxBatch, func(d string) ApproxResult {
-		re := am.relErr[d]
-		return ApproxResult{Wrong: *am.wrong[d], MeanRelErr: re.mean(), WrongErrSum: re.sum}
+		r, _ := am.result(d)
+		return r
 	})
 }
 

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"st2gpu/internal/bitmath"
@@ -113,46 +114,29 @@ var Fig3Designs = []string{"Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"}
 // lets *shared* histories (Ltid) score higher than fully disambiguated
 // ones (Gtid): sharing warms buckets faster.
 type CorrMeter struct {
-	preds   map[string]speculate.Predictor
-	match   map[string]*stats.Rate
+	eval    *corrEval
 	scratch warpScratch
 }
 
 // NewCorrMeter builds the three-scheme correlation meter.
 func NewCorrMeter() (*CorrMeter, error) {
-	m := &CorrMeter{
-		preds: make(map[string]speculate.Predictor),
-		match: make(map[string]*stats.Rate),
+	e, err := newCorrEval(Fig3Designs)
+	if err != nil {
+		return nil, err
 	}
-	for _, d := range Fig3Designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, err
-		}
-		m.preds[d] = p
-		m.match[d] = &stats.Rate{}
-	}
-	return m, nil
+	return &CorrMeter{eval: e}, nil
 }
 
-// TraceWarpAdds implements gpusim.AddTracer: every lane's prediction is
-// read from the pre-update history (warp-synchronous), then all lanes
-// write back. The warp is compacted once and all three schemes run the
-// shared batched eval core.
+// TraceWarpAdds implements gpusim.AddTracer: the warp is compacted once
+// and all three schemes run the Figure 3 eval step on it.
 func (m *CorrMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range Fig3Designs {
-		corrStep(m.preds[d], m.match[d], r, &m.scratch.eval)
-	}
+	m.eval.step(m.scratch.compact(kind, pc, gtidBase, ops))
 }
 
 // MatchRate returns the per-boundary match fraction for a design.
 func (m *CorrMeter) MatchRate(design string) (float64, error) {
-	r, ok := m.match[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: unknown Figure 3 design %q", design)
-	}
-	return r.Value(), nil
+	r, err := m.RawRate(design)
+	return r.Value(), err
 }
 
 // Rates returns all three match rates in Fig3Designs order.
@@ -168,11 +152,11 @@ func (m *CorrMeter) Rates() []float64 {
 // rates op-weighted across kernels (buckets with a single observation
 // contribute nothing and must not be averaged as zero).
 func (m *CorrMeter) RawRate(design string) (stats.Rate, error) {
-	r, ok := m.match[design]
-	if !ok {
+	d := slices.Index(Fig3Designs, design)
+	if d < 0 {
 		return stats.Rate{}, fmt.Errorf("trace: unknown Figure 3 design %q", design)
 	}
-	return *r, nil
+	return m.eval.match[d], nil
 }
 
 // --- Figure 5: single-pass design-space sweep ---
@@ -183,8 +167,7 @@ func (m *CorrMeter) RawRate(design string) (stats.Rate, error) {
 // was speculated wrong).
 type DSEMeter struct {
 	Designs []string
-	preds   map[string]speculate.Predictor
-	miss    map[string]*stats.Rate
+	eval    *missEval
 	scratch warpScratch
 }
 
@@ -194,50 +177,31 @@ func NewDSEMeter(designs []string) (*DSEMeter, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
 	}
-	m := &DSEMeter{
-		Designs: designs,
-		preds:   make(map[string]speculate.Predictor),
-		miss:    make(map[string]*stats.Rate),
+	e, err := newMissEval(designs)
+	if err != nil {
+		return nil, err
 	}
-	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: design %q: %w", d, err)
-		}
-		m.preds[d] = p
-		m.miss[d] = &stats.Rate{}
-	}
-	return m, nil
+	return &DSEMeter{Designs: designs, eval: e}, nil
 }
 
-// TraceWarpAdds implements gpusim.AddTracer: predictions for every lane
-// come from the pre-update history (as in hardware, where the CRF row is
-// read once per warp), then mispredicting lanes write back. The warp is
-// compacted once (boundary carries computed per lane, not per design)
-// and every design runs the shared batched eval core.
+// TraceWarpAdds implements gpusim.AddTracer: the warp is compacted once
+// (boundary carries computed per lane, not per design) and every design
+// runs the Figure 5 eval step on it.
 func (m *DSEMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range m.Designs {
-		dseStep(m.preds[d], m.miss[d], r, &m.scratch.eval)
-	}
+	m.eval.step(m.scratch.compact(kind, pc, gtidBase, ops))
 }
 
 // MissRate returns a design's thread misprediction rate.
 func (m *DSEMeter) MissRate(design string) (float64, error) {
-	r, ok := m.miss[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in sweep", design)
-	}
-	return r.Value(), nil
+	r, err := m.Rate(design)
+	return r.Value(), err
 }
 
 // Rate exposes the raw counter for aggregation across kernels.
 func (m *DSEMeter) Rate(design string) (stats.Rate, error) {
-	r, ok := m.miss[design]
-	if !ok {
+	d := slices.Index(m.Designs, design)
+	if d < 0 {
 		return stats.Rate{}, fmt.Errorf("trace: design %q not in sweep", design)
 	}
-	return *r, nil
+	return m.eval.miss[d], nil
 }
-
-func popcount(x uint64) int { return bitmath.PopCount64(x) }
