@@ -1,7 +1,9 @@
 #!/bin/sh
-# Repo gate: static analysis + full test suite under the race detector.
-# Equivalent to `make check`; kept as a script for environments without
-# make.
+# Repo gate for environments without make. It runs go vet, the gofmt
+# check, st2lint, the full test suite under the race detector, two named
+# race gates (sweep-grid and sharded-sweep determinism) and the three
+# fuzz-smoke targets. It does not run the benchmark gates that
+# `make check` also runs: bench-smoke, bench-dse and trend-gate.
 set -eu
 cd "$(dirname "$0")/.."
 
